@@ -23,7 +23,6 @@ from .schur import (
     BlaschkeTower,
     Classification,
     SchurParameters,
-    boundary_tower_eval,
     mobius_eval,
     mobius_series,
     schur_parameters,
@@ -94,7 +93,6 @@ __all__ = [
     "BlaschkeTower",
     "Classification",
     "SchurParameters",
-    "boundary_tower_eval",
     "mobius_eval",
     "mobius_series",
     "schur_parameters",

@@ -23,7 +23,8 @@ import numpy as np
 
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, integrate_segment
-from .regions import polygon_signed_distance, q_point, theta_grid
+# q_point stays importable from this module (bench/tracing.py patches it here).
+from .regions import _q, polygon_signed_distance, q_point, theta_grid  # noqa: F401
 from .schur import mobius_eval
 
 __all__ = [
@@ -99,7 +100,7 @@ def h_transform(
         raise ValueError("argument must satisfy |z| < 1")
     root = z if n == 1 else z ** (1.0 / n)
 
-    def f(zeta: complex) -> complex:
+    def f(zeta: np.ndarray) -> np.ndarray:
         return zeta**j * (domain.eval(zeta**n) - domain.eval(0))
 
     integral = integrate_segment(f, root, cfg)
@@ -140,7 +141,8 @@ def sample_admissible(
 
     The returned closure is analytic on the open disk, maps into the
     target region, and has the Caratheodory data of sampler.gamma; the
-    undetermined higher coefficients are randomized by the leaf.
+    undetermined higher coefficients are randomized by the leaf.  It
+    takes a point or an array of points.
     """
     rng = np.random.default_rng(sampler.seed)
     phi = float(rng.uniform(0, 2 * math.pi))
@@ -153,14 +155,13 @@ def sample_admissible(
     phase = cmath.exp(1j * phi)
     g = sampler.gamma
 
-    def leaf(z: complex) -> complex:
+    def leaf(z):
         w = phase
         for a in zeros:
-            w *= (z - a) / (1 - a.conjugate() * z)
+            w = w * (z - a) / (1 - a.conjugate() * z)
         return w
 
-    def fn(z: complex) -> complex:
-        z = complex(z)
+    def fn(z):
         w = z * leaf(z)
         for i in range(len(g) - 1, 0, -1):
             w = z * mobius_eval(g[i], w)
@@ -206,13 +207,11 @@ def membership_trial(
     degrees 1..4, which stay strictly interior.
     """
     gamma = tuple(complex(v) for v in gamma)
-    thetas = theta_grid(samples)
-    pts = tuple(
-        q_point(domain, gamma, j, z0, cmath.exp(1j * th), cfg) for th in thetas
-    )
+    z0 = complex(z0)
+    eps = np.exp(1j * np.asarray(theta_grid(samples)))
+    pts = _q(domain, gamma, j, z0, eps, cfg)
     base = domain.eval(gamma[0])
     degrees = tuple(int(d) for d in degrees)
-    z0 = complex(z0)
     inside = 0
     worst = -math.inf
     failures = []
@@ -226,7 +225,7 @@ def membership_trial(
         )
         g = sample_admissible(sampler, domain)
 
-        def f(zeta: complex) -> complex:
+        def f(zeta: np.ndarray) -> np.ndarray:
             return zeta**j * (g(zeta) - base)
 
         value = integrate_segment(f, z0, cfg)

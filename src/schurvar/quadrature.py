@@ -7,12 +7,19 @@ error estimate is |K15 - G7| and panels failing their share of the
 budget are bisected.  All nodes are interior, so integrands with a
 removable singularity at the origin (the 1/zeta weight against a
 vanishing numerator) are evaluated safely without special-casing.
+
+The integrand is called once per panel on its 15 nodes.  A vector
+integrand, one column per integral, shares the panels of all columns
+(as in QUADPACK's vector variants): a panel is accepted only when every
+column meets its own share of the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 __all__ = ["QuadratureConfig", "QuadratureError", "integrate_segment"]
 
@@ -45,6 +52,12 @@ _WG = (
     0.3818300505051189,
     0.41795918367346936,
 )
+# The whole rule on [-1, 1]: nodes, K15 weights and K15 - G7 weights
+# (the Gauss nodes sit at the odd positions).
+_X = np.concatenate([np.negative(_XGK), _XGK[-2::-1]])
+_WK = np.concatenate([_WGK, _WGK[-2::-1]])
+_WD = _WK.copy()
+_WD[1::2] -= _WG + _WG[-2::-1]
 
 
 @dataclass(frozen=True)
@@ -66,47 +79,36 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 class QuadratureError(RuntimeError):
-    """Raised when bisection hits max_depth without meeting its budget.
+    """Raised when bisection hits max_depth without meeting its budget,
+    or when the integrand returns a non-finite value.
 
-    Carries the best available estimate and its error bound so callers
-    can decide whether the partial answer is still usable.
+    Carries the best available estimate and its error bound (one per
+    column for vector integrands) so callers can decide whether the
+    partial answer is still usable, and the indices of the failing
+    columns.
     """
 
-    def __init__(self, message: str, estimate: complex, error_bound: float):
+    def __init__(
+        self,
+        message: str,
+        estimate: complex | np.ndarray,
+        error_bound: float | np.ndarray,
+        columns: tuple[int, ...] = (),
+    ):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-def _panel(
-    f: Callable[[float], complex], a: float, b: float
-) -> tuple[complex, float]:
-    """One G7/K15 panel on [a, b]: returns (K15 value, |K15 - G7|)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    k15 = _WGK[7] * fc
-    g7 = _WG[3] * fc
-    for i in (0, 2, 4, 6):  # Kronrod-only points
-        s = f(c - h * _XGK[i]) + f(c + h * _XGK[i])
-        k15 += _WGK[i] * s
-    for j, i in enumerate((1, 3, 5)):  # shared Gauss points
-        s = f(c - h * _XGK[i]) + f(c + h * _XGK[i])
-        k15 += _WGK[i] * s
-        g7 += _WG[j] * s
-    k15 *= h
-    g7 *= h
-    return k15, abs(k15 - g7)
+        self.columns = columns
 
 
 def integrate_segment(
-    integrand: Callable[[complex], complex],
+    integrand: Callable[[np.ndarray], np.ndarray],
     z_end: complex,
     cfg: QuadratureConfig | None = None,
-) -> complex:
+) -> complex | np.ndarray:
     """Integrate along the segment from 0 to z_end.
 
-    The estimated error of the result is at most
+    For every column the estimated error of the result is at most
     max(abs_tol, rel_tol * |result|); the relative scale is taken from
     a first whole-segment panel.  The integrand must be analytic on a
     neighborhood of the segment (a removable singularity at 0 is fine:
@@ -115,16 +117,20 @@ def integrate_segment(
     Parameters
     ----------
     integrand : callable
-        Map from complex to complex.
+        Called once per panel with the panel's 15 nodes, a complex array
+        of shape (15,).  Returning shape (15,) gives a complex result;
+        shape (15, m) gives the (m,) array of m integrals.
     z_end : complex
-        Endpoint; 0 gives the empty contour and an exact 0 result.
+        Endpoint; 0 gives the empty contour and an exact 0 result
+        without calling the integrand.
     cfg : QuadratureConfig, optional
 
     Raises
     ------
     QuadratureError
-        If some panel still fails its budget at max_depth.  The
-        exception carries the best global estimate and error bound.
+        If some panel still fails its budget at max_depth (the
+        exception carries each column's estimate and error bound), or
+        if the integrand returns a non-finite value.
     """
     if cfg is None:
         cfg = DEFAULT_CONFIG
@@ -132,38 +138,52 @@ def integrate_segment(
     if z_end == 0:
         return 0j
 
-    def ft(t: float) -> complex:
-        return integrand(t * z_end)
+    def panel(a: float, b: float):
+        """One G7/K15 panel on [a, b] in t: (K15 values, |K15 - G7|)."""
+        h = 0.5 * (b - a)
+        zeta = (0.5 * (a + b) + h * _X) * z_end
+        f = np.asarray(integrand(zeta))
+        finite = np.isfinite(f).all(axis=0)
+        if not finite.all():
+            cols = tuple(np.flatnonzero(~finite).tolist())
+            raise QuadratureError(
+                f"non-finite integrand value on [0, {z_end}] in column(s) {list(cols)}",
+                complex("nan"),
+                np.inf,
+                cols,
+            )
+        return h * (_WK @ f), h * np.abs(_WD @ f)
 
-    first, err0 = _panel(ft, 0.0, 1.0)
+    first, err0 = panel(0.0, 1.0)
     scale = abs(z_end)
-    # Error budget in t-space, distributed proportionally to panel length.
-    tol_t = max(cfg.abs_tol, cfg.rel_tol * abs(first) * scale) / scale
-    if err0 <= tol_t:
-        return z_end * first
+    # Error budget in t-space per column, shared by panels in
+    # proportion to their length.
+    tol_t = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(first) * scale) / scale
 
     total = 0j
     bound = 0.0
-    exhausted = False
-    stack = [(0.0, 1.0, 0)]
+    failed = np.False_
+    stack = [(0.0, 1.0, 0, first, err0)]
     while stack:
-        a, b, depth = stack.pop()
-        val, err = _panel(ft, a, b)
-        if err <= tol_t * (b - a):
-            total += val
-            bound += err
-        elif depth >= cfg.max_depth:
-            total += val
-            bound += err
-            exhausted = True
+        a, b, depth, val, err = stack.pop()
+        short = err > tol_t * (b - a)
+        if depth >= cfg.max_depth or not short.any():
+            total = total + val
+            bound = bound + err
+            failed = failed | short
         else:
             m = 0.5 * (a + b)
-            stack.append((m, b, depth + 1))
-            stack.append((a, m, depth + 1))
-    if exhausted:
+            stack.append((m, b, depth + 1, *panel(m, b)))
+            stack.append((a, m, depth + 1, *panel(a, m)))
+    if np.ndim(total) == 0:
+        total, bound = complex(total), float(bound)
+    if failed.any():
+        cols = tuple(np.flatnonzero(failed).tolist())
         raise QuadratureError(
-            "max depth exceeded without convergence",
+            f"max depth {cfg.max_depth} exceeded without convergence "
+            f"on [0, {z_end}] in column(s) {list(cols)}",
             z_end * total,
             scale * bound,
+            cols,
         )
     return z_end * total

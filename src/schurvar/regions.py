@@ -12,7 +12,9 @@ disk, with boundary traced by unimodular eps; for boundary data it
 degenerates to a single point (the tower becomes rigid); for exterior
 data the region is empty.  region_compute dispatches on the
 classification and returns the matching variant, tracing the boundary
-on the grid theta_m = -pi + 2 pi m / samples.
+on the grid theta_m = -pi + 2 pi m / samples.  Every boundary point is
+an integral over the same segment [0, z0], so the whole trace is one
+batched quadrature: each G7/K15 panel evaluates all towers at once.
 
 The polygon helpers below (orientation-tolerant convexity check,
 inflated containment, symmetric Hausdorff distance against segments)
@@ -21,7 +23,6 @@ are the measuring instruments used by the test oracles.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,11 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from .domains import DomainMap
-from .quadrature import QuadratureConfig, integrate_segment
+from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
 from .schur import (
     BlaschkeTower,
     Classification,
-    boundary_tower_eval,
     schur_parameters,
     tower_eval,
 )
@@ -61,6 +61,44 @@ def theta_grid(samples: int) -> tuple[float, ...]:
     return tuple(-math.pi + 2 * math.pi * m / samples for m in range(samples))
 
 
+def _q(
+    domain: DomainMap,
+    gamma: Sequence[complex],
+    j: int,
+    z0: complex,
+    eps: Sequence[complex] | np.ndarray,
+    cfg: QuadratureConfig | None,
+) -> np.ndarray:
+    """Q_{gamma,j}(z0, eps) for every leaf of the 1-D sequence ``eps``.
+
+    The one integral kernel of the package: every panel evaluates the
+    towers of all leaves on its nodes in one array pass.  A quadrature
+    failure is re-raised naming the failing leaves, z0 and the domain.
+    """
+    if j < -1:
+        raise ValueError("weight exponent must satisfy j >= -1")
+    z0 = complex(z0)
+    if not 0 < abs(z0) < 1:
+        raise ValueError("z0 must satisfy 0 < |z0| < 1")
+    tower = BlaschkeTower(tuple(gamma), eps)
+    base = domain.eval(tower.gamma[0])
+
+    def f(zeta: np.ndarray) -> np.ndarray:
+        zeta = zeta[:, None]
+        return zeta**j * (domain.eval(tower_eval(tower, zeta)) - base)
+
+    try:
+        return integrate_segment(f, z0, cfg)
+    except QuadratureError as exc:
+        bad = tower.epsilon[list(exc.columns)][:4].tolist()
+        raise QuadratureError(
+            f"{exc}; eps = {bad}, z0 = {z0}, j = {j}, domain {domain.spec_string()}",
+            exc.estimate,
+            exc.error_bound,
+            exc.columns,
+        ) from exc
+
+
 def q_point(
     domain: DomainMap,
     gamma: Sequence[complex],
@@ -85,18 +123,7 @@ def q_point(
     eps : complex
         Leaf parameter, |eps| <= 1.
     """
-    if j < -1:
-        raise ValueError("weight exponent must satisfy j >= -1")
-    z0 = complex(z0)
-    if not 0 < abs(z0) < 1:
-        raise ValueError("z0 must satisfy 0 < |z0| < 1")
-    tower = BlaschkeTower(tuple(gamma), eps)
-    base = domain.eval(tower.gamma[0])
-
-    def f(zeta: complex) -> complex:
-        return zeta**j * (domain.eval(tower_eval(tower, zeta)) - base)
-
-    return integrate_segment(f, z0, cfg)
+    return complex(_q(domain, gamma, j, z0, [complex(eps)], cfg)[0])
 
 
 def k_primitive(
@@ -106,19 +133,15 @@ def k_primitive(
 
     K is the unconstrained-region kernel: the variability region of the
     log-derivative functional over the whole class is K of the closed
-    disk of radius |z0|.  K(0) = 0 by the empty contour.
+    disk of radius |z0|.  K(0) = 0 by the empty contour.  K(eps z) is
+    the tower integral Q with data (0,), weight -1 and leaf eps.
     """
     z = complex(z)
     if abs(z) >= 1:
         raise ValueError("argument must satisfy |z| < 1")
     if z == 0:
         return 0j
-    base = domain.eval(0)
-
-    def f(zeta: complex) -> complex:
-        return (domain.eval(zeta) - base) / zeta
-
-    return integrate_segment(f, z, cfg)
+    return complex(_q(domain, (0j,), -1, z, [1 + 0j], cfg)[0])
 
 
 def single_point_value(
@@ -131,22 +154,15 @@ def single_point_value(
     """The collapsed region for boundary data: one attainable value.
 
     ``gamma_prefix`` is (gamma_0, ..., gamma_i) with the last entry
-    unimodular.  For i = 0 the extremal map is a unimodular constant,
+    unimodular: the tower of the leading entries with the rigid leaf
+    gamma_i.  For i = 0 the extremal map is a unimodular constant,
     the integrand cancels identically, and the value is exactly 0;
     P is never evaluated there (it may be unbounded at that constant).
     """
     g = [complex(v) for v in gamma_prefix]
     if len(g) == 1:
         return 0j
-    z0 = complex(z0)
-    if not 0 < abs(z0) < 1:
-        raise ValueError("z0 must satisfy 0 < |z0| < 1")
-    base = domain.eval(g[0])
-
-    def f(zeta: complex) -> complex:
-        return zeta**j * (domain.eval(boundary_tower_eval(g, zeta)) - base)
-
-    return integrate_segment(f, z0, cfg)
+    return complex(_q(domain, g[:-1], j, z0, [g[-1]], cfg)[0])
 
 
 @dataclass(frozen=True)
@@ -241,15 +257,12 @@ def region_compute(req: RegionRequest) -> RegionResult:
         w0 = single_point_value(req.domain, prefix, req.j, req.z0, req.quad)
         return RegionResult.single_point(w0, sp)
     thetas = theta_grid(req.samples)
-    pts = []
-    for th in thetas:
-        eps = cmath.exp(1j * th)
-        pts.append(q_point(req.domain, sp.gamma, req.j, req.z0, eps, req.quad))
-    for m in range(len(pts)):
-        if pts[m] == pts[(m + 1) % len(pts)]:
-            raise RuntimeError("trace degenerate")
+    eps = np.exp(1j * np.asarray(thetas))
+    pts = _q(req.domain, sp.gamma, req.j, req.z0, eps, req.quad)
+    if np.any(pts == np.roll(pts, -1)):
+        raise RuntimeError("trace degenerate")
     poly = RegionPolygon(
-        points=tuple(pts),
+        points=pts,
         thetas=thetas,
         z0=req.z0,
         j=req.j,
@@ -260,10 +273,8 @@ def region_compute(req: RegionRequest) -> RegionResult:
 
 def _points_array(poly) -> np.ndarray:
     if isinstance(poly, RegionPolygon):
-        pts = poly.points
-    else:
-        pts = tuple(poly)
-    return np.asarray([complex(p) for p in pts])
+        poly = poly.points
+    return np.asarray(list(poly), dtype=complex)
 
 
 def polygon_convexity(poly, tol: float = 1e-9) -> bool:

@@ -28,16 +28,17 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, integrate_segment
-from .regions import (
-    RegionPolygon,
+# k_primitive stays importable from this module (bench/tracing.py patches it here).
+from .regions import (  # noqa: F401
     RegionRequest,
     RegionResult,
     k_primitive,
     q_point,
     region_compute,
-    theta_grid,
 )
 from .schur import INF, BlaschkeTower, tower_taylor
 from .series import (
@@ -45,8 +46,6 @@ from .series import (
     series_compose,
     series_exp,
 )
-
-import cmath
 
 __all__ = [
     "FunctionClass",
@@ -147,24 +146,20 @@ def cv_region(
 ) -> RegionResult:
     """Region of the constrained log-derivative functional.
 
-    Unconstrained queries trace K over the circle |z| = |z0| directly;
-    coefficient constraints go through the parameter bridge and the
-    region engine, which also produces the degenerate single-point and
-    empty variants.
+    Every query goes through the region engine with weight -1.  An
+    unconstrained query is the data (0,): its boundary K(eps z0) over
+    unimodular eps is the primitive K on the circle |z| = |z0|.
+    Coefficient constraints go through the parameter bridge, and the
+    engine also produces the degenerate single-point and empty
+    variants.
     """
     z0 = complex(query.z0)
     if not 0 < abs(z0) < 1:
         raise ValueError("z0 must satisfy 0 < |z0| < 1")
     c = query.constraint
     if c is None:
-        thetas = theta_grid(samples)
-        pts = tuple(
-            k_primitive(query.domain, cmath.exp(1j * th) * z0, cfg)
-            for th in thetas
-        )
-        poly = RegionPolygon(points=pts, thetas=thetas, z0=z0, j=-1, gamma=(0j,))
-        return RegionResult.region(poly)
-    if isinstance(c, FixedA2):
+        data: tuple[complex, ...] = (0j,)
+    elif isinstance(c, FixedA2):
         data = (0j, gamma_from_a2(c.lam, query.domain))
     elif isinstance(c, FixedA2A3):
         pair = gamma_from_a2a3(c.lam, c.mu, query.domain)
@@ -209,8 +204,8 @@ def extremal_f_eval(
     if abs(z) >= 1:
         raise ValueError("argument must satisfy |z| < 1")
 
-    def f(zeta: complex) -> complex:
-        return cmath.exp(q_point(domain, full, -1, zeta, eps, inner))
+    def f(zeta: np.ndarray) -> np.ndarray:
+        return np.exp([q_point(domain, full, -1, node, eps, inner) for node in zeta])
 
     return integrate_segment(f, z, cfg)
 

@@ -219,3 +219,36 @@ def test_free_function_wrappers():
     d = HalfPlane()
     assert domain_eval(d, 0.3) == d.eval(0.3)
     assert domain_taylor(d, 4).coeffs == d.taylor(4).coeffs
+
+
+def test_conic_taylor_reaches_order_64():
+    # The sampling radius grows with the order, so high orders converge
+    # instead of drowning in rounding amplified by r^-order.
+    for k in (0.5, 1.0):
+        d = ConicSection(k)
+        co = d.taylor(64).coeffs
+        value = sum(c * 0.3**p for p, c in enumerate(co))
+        assert abs(value - d.eval(0.3)) <= 1e-12
+
+
+def test_conic_taylor_failure_names_its_inputs():
+    class NoisyConic(ConicSection):
+        def _eval(self, z):
+            noise = np.random.default_rng(len(z)).standard_normal(z.shape)
+            return super()._eval(z) + 1e-6 * noise
+
+    with pytest.raises(ValueError) as info:
+        NoisyConic(0.5).taylor(12)
+    msg = str(info.value)
+    assert "k=0.5" in msg and "order 12" in msg and "last change" in msg
+
+
+def test_eval_on_arrays_matches_points():
+    zs = np.asarray(RNG_POINTS)
+    for d in (HalfPlane(0.5), Sector(0.5), Janowski(2, -1), ConicSection(0.5), ConicSection(1.0)):
+        got = d.eval(zs)
+        assert got.shape == zs.shape
+        # Array kernels of numpy may round differently in the last bit.
+        assert all(abs(got[i] - d.eval(z)) <= 1e-15 * abs(got[i]) for i, z in enumerate(RNG_POINTS))
+    with pytest.raises(ValueError):
+        HalfPlane().eval(np.asarray([0.5, 1.0]))

@@ -18,7 +18,7 @@ def test_monomials_integrate_exactly():
 
 def test_identity_integrand_up_imaginary_axis():
     assert abs(integrate_segment(lambda zeta: zeta, 1j) - (-0.5)) <= 1e-14
-    assert abs(integrate_segment(lambda zeta: 1.0, 0.3 - 0.4j) - (0.3 - 0.4j)) <= 1e-15
+    assert abs(integrate_segment(lambda zeta: np.ones_like(zeta), 0.3 - 0.4j) - (0.3 - 0.4j)) <= 1e-15
 
 
 def test_random_polynomial_matches_termwise_antiderivative():
@@ -46,7 +46,7 @@ def test_zero_endpoint_short_circuits():
 
 def test_linearity():
     z = 0.6 + 0.3j
-    f = cmath.exp
+    f = np.exp
     g = lambda zeta: 1 / (1 - zeta / 2)
     lhs = integrate_segment(lambda zeta: 3 * f(zeta) - 2j * g(zeta), z)
     rhs = 3 * integrate_segment(f, z) - 2j * integrate_segment(g, z)
@@ -61,7 +61,7 @@ def test_geometric_closed_form():
 
 def test_exponential_closed_form():
     z = 1.2 - 0.7j
-    got = integrate_segment(cmath.exp, z)
+    got = integrate_segment(np.exp, z)
     assert abs(got - (cmath.exp(z) - 1)) <= 1e-12
 
 
@@ -75,7 +75,7 @@ def test_near_endpoint_pole_converges():
 def test_tight_tolerance_is_honored():
     cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-16)
     z = 0.4 + 0.2j
-    got = integrate_segment(lambda zeta: cmath.cos(zeta), z, cfg)
+    got = integrate_segment(lambda zeta: np.cos(zeta), z, cfg)
     assert abs(got - cmath.sin(z)) <= 1e-13
 
 
@@ -102,3 +102,46 @@ def test_shallow_depth_raises_sooner():
     cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-16, max_depth=2)
     with pytest.raises(QuadratureError):
         integrate_segment(lambda zeta: 1 / (1 - zeta), 0.9999, cfg)
+
+
+def test_vector_integrand_integrates_each_column():
+    z = 0.6 - 0.5j
+    k = np.arange(6)
+    got = integrate_segment(lambda zeta: np.exp(np.outer(zeta, k + 1)), z)
+    want = (np.exp(z * (k + 1)) - 1) / (k + 1)
+    assert got.shape == (6,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_vector_columns_keep_their_own_relative_budget():
+    # A huge smooth column beside a small steep one: the steep column
+    # must meet rel_tol on its own scale, not on the huge column's.
+    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-12)
+    z = 0.9
+    got = integrate_segment(
+        lambda zeta: np.stack([np.full_like(zeta, 1e12), 1 / (1 - zeta)], axis=1), z, cfg
+    )
+    want = -cmath.log(1 - z)
+    assert abs(got[0] - 1e12 * z) <= 1e-12 * 1e12 * z
+    assert abs(got[1] - want) <= 1e-11 * want
+
+
+def test_failing_columns_are_named():
+    cfg = QuadratureConfig(max_depth=2)
+    poles = np.array([5.0, 0.51 + 1e-9j, 7.0])
+    with pytest.raises(QuadratureError) as info:
+        integrate_segment(lambda zeta: 1 / (poles - zeta[:, None]), 1.0, cfg)
+    err = info.value
+    assert err.columns == (1,)
+    assert "column(s) [1]" in str(err)
+    assert err.estimate.shape == (3,) and err.error_bound.shape == (3,)
+    assert abs(err.estimate[0] + cmath.log(1 - 1 / 5.0)) <= 1e-12
+
+
+def test_non_finite_integrand_raises():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError):
+            integrate_segment(lambda zeta: 1 / (0.5 - zeta), 1.0)
+        with pytest.raises(QuadratureError) as info:
+            integrate_segment(lambda zeta: np.stack([zeta, np.sqrt(zeta - 0.5) / 0], axis=1), 1.0)
+    assert info.value.columns == (1,)

@@ -11,7 +11,6 @@ from schurvar import (
     INF,
     BlaschkeTower,
     Classification,
-    boundary_tower_eval,
     mobius_eval,
     mobius_series,
     schur_parameters,
@@ -246,15 +245,3 @@ def test_tower_coefficients_bounded_by_one():
         s = tower_taylor(BlaschkeTower(gamma, eps), 12)
         assert max(abs(c) for c in s.coeffs) <= 1 + 1e-12
 
-
-def test_boundary_tower_prefix_forms():
-    # Length-one prefix is the constant head parameter.
-    assert boundary_tower_eval((1j,), 0.7) == 1j
-    assert boundary_tower_eval((1j,), -0.2) == 1j
-    # Length two: head transform applied to (last parameter) * z.
-    got = boundary_tower_eval((0.5, 1.0), 0.4)
-    assert abs(got - mobius_eval(0.5, 0.4)) <= 1e-15
-    # Length three, hand-composed.
-    got = boundary_tower_eval((0.2, 0.3, 1.0), 0.4)
-    want = mobius_eval(0.2, 0.4 * mobius_eval(0.3, 0.4))
-    assert abs(got - want) <= 1e-15

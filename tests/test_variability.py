@@ -116,12 +116,15 @@ def test_cv_region_pinned_a3_single_point():
 
 def test_trace_vertex_is_extremal_value():
     # A traced vertex reproduces the direct unit-multiplier integral
-    # bitwise, and dropping it leaves it outside the remaining hull.
+    # within the default quadrature bound (the batched trace and the
+    # one-column call refine different panels), and dropping it leaves
+    # it outside the remaining hull.
     res = cv_region(VariabilityQuery(HP, 0.5, FixedA2(0.3)), samples=64)
     pts = res.polygon.points
     m = 11
     eps = cmath.exp(1j * res.polygon.thetas[m])
-    assert pts[m] == q_point(HP, (0j, 0.3), -1, 0.5, eps)
+    q = q_point(HP, (0j, 0.3), -1, 0.5, eps)
+    assert abs(pts[m] - q) <= 1e-12 * max(1.0, abs(q))
     assert polygon_signed_distance(pts[:m] + pts[m + 1 :], pts[m]) > 0
 
 
