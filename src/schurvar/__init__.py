@@ -11,7 +11,6 @@ the result from independent routes.
 
 from .series import (
     ComplexSeries,
-    series_antiderivative,
     series_compose,
     series_exp,
     series_mul,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexSeries",
-    "series_antiderivative",
     "series_compose",
     "series_exp",
     "series_mul",

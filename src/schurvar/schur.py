@@ -35,7 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import ComplexSeries, series_compose, series_mul, series_reciprocal
+from .series import ComplexSeries, series_mul, series_reciprocal
+from .series import series_compose  # noqa: F401 (bench/tracing.py patches it here)
 
 __all__ = [
     "INF",
@@ -206,12 +207,17 @@ def mobius_eval(a: complex, z: complex | np.ndarray) -> complex | np.ndarray:
     return (z + a) / denom
 
 
+def _mobius_of(a: complex, s: ComplexSeries) -> ComplexSeries:
+    """s_a(s) = (s + a) * (1 + conj(a) s)^-1 for a series with s(0) = 0."""
+    numer = ComplexSeries((a,) + s.coeffs[1:])
+    denom = ComplexSeries((1 + 0j,) + tuple(a.conjugate() * c for c in s.coeffs[1:]))
+    return series_mul(numer, series_reciprocal(denom))
+
+
 def mobius_series(a: complex, order: int) -> ComplexSeries:
     """Taylor series of s_a at 0: a + (1-|a|^2) w - conj(a)(1-|a|^2) w^2 - ..."""
-    a = complex(a)
-    numer = ComplexSeries((a, 1 + 0j) + (0j,) * max(0, order - 1))
-    denom = ComplexSeries((1 + 0j, a.conjugate()) + (0j,) * max(0, order - 1))
-    return series_mul(numer, series_reciprocal(denom)).truncated(order)
+    w = ComplexSeries.identity(max(order, 1))
+    return _mobius_of(complex(a), w).truncated(order)
 
 
 @dataclass(frozen=True)
@@ -241,6 +247,14 @@ class BlaschkeTower:
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "epsilon", e)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlaschkeTower):
+            return NotImplemented
+        return self.gamma == other.gamma and np.array_equal(self.epsilon, other.epsilon)
+
+    def __hash__(self) -> int:
+        return hash((self.gamma, tuple(np.ravel(self.epsilon).tolist())))
+
 
 def tower_eval(
     tower: BlaschkeTower, z: complex | np.ndarray
@@ -260,18 +274,19 @@ def tower_eval(
 def tower_taylor(tower: BlaschkeTower, order: int) -> ComplexSeries:
     """Taylor series of the tower at 0, built from the leaf outward.
 
-    Each level composes the Moebius series of its parameter with the
-    series below and multiplies by z; the root level composes without
-    the z factor.
+    Each level applies the Moebius map of its parameter to the series
+    below (one reciprocal and one product) and multiplies by z; the
+    root level applies it without the z factor.  Needs a single leaf.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    if np.ndim(tower.epsilon) != 0:
+        raise ValueError("tower_taylor needs one leaf, not an array of leaves")
     work = max(order, 1)
     z = ComplexSeries.identity(work)
     s = ComplexSeries.constant(tower.epsilon, work) * z
     g = tower.gamma
     for i in range(len(g) - 1, 0, -1):
-        s = z * series_compose(mobius_series(g[i], work), s)
-    out = series_compose(mobius_series(g[0], work), s)
-    return out.truncated(order)
+        s = z * _mobius_of(g[i], s)
+    return _mobius_of(g[0], s).truncated(order)
 

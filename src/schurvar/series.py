@@ -6,16 +6,20 @@ truncates its result to the smaller order of the two operands, so a
 computation carried out at a fixed working order stays at that order.
 Operations never mutate their inputs.
 
-These are the exact building blocks behind the Blaschke-tower Taylor
-expansion and the extremal-coefficient pipeline; everything here is
-plain O(N^2)/O(N^3) coefficient arithmetic, which is the right tool for
-the orders involved (default 16).
+These are the building blocks behind the Blaschke-tower Taylor
+expansion and the extremal-coefficient pipeline.  Products are numpy
+convolutions, composition is Horner's rule on one numpy array, and the
+reciprocal is Newton's iteration (Brent & Kung 1978).  schur applies a
+Moebius level as (s + a) * (1 + conj(a) s)^-1: one reciprocal, one
+product, no general composition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "ComplexSeries",
@@ -23,7 +27,6 @@ __all__ = [
     "series_reciprocal",
     "series_compose",
     "series_exp",
-    "series_antiderivative",
 ]
 
 DEFAULT_ORDER = 16
@@ -42,7 +45,7 @@ class ComplexSeries:
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
             raise ValueError("series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(complex, self.coeffs)))
 
     @property
     def order(self) -> int:
@@ -92,10 +95,6 @@ class ComplexSeries:
             raise ValueError("identity needs order >= 1")
         return ComplexSeries((0j, 1 + 0j) + (0j,) * (order - 1))
 
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[complex]) -> "ComplexSeries":
-        return ComplexSeries(tuple(coeffs))
-
 
 def _coerce(s: ComplexSeries | Sequence[complex]) -> ComplexSeries:
     if isinstance(s, ComplexSeries):
@@ -108,20 +107,16 @@ def series_mul(a: ComplexSeries, b: ComplexSeries) -> ComplexSeries:
     a = _coerce(a)
     b = _coerce(b)
     n = min(a.order, b.order)
-    out = []
-    for p in range(n + 1):
-        acc = 0j
-        for l in range(p + 1):
-            acc += a.coeffs[l] * b.coeffs[p - l]
-        out.append(acc)
-    return ComplexSeries(tuple(out))
+    out = np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])[: n + 1]
+    return ComplexSeries(tuple(out.tolist()))
 
 
 def series_reciprocal(a: ComplexSeries) -> ComplexSeries:
     """Multiplicative inverse 1/a as a truncated series.
 
-    Solved by the triangular recurrence b_0 = 1/a_0,
-    b_p = -(1/a_0) * sum_{l=1..p} a_l b_{p-l}.
+    Newton's iteration b <- b (2 - a b) from b = 1/a_0: when a b = 1 +
+    O(z^m), one step fixes coefficients m..2m-1 with two numpy
+    convolutions (Brent & Kung 1978), so order N takes log2(N) steps.
 
     Raises
     ------
@@ -131,23 +126,24 @@ def series_reciprocal(a: ComplexSeries) -> ComplexSeries:
     a = _coerce(a)
     if a.coeffs[0] == 0:
         raise ValueError("non-invertible series")
-    inv0 = 1.0 / a.coeffs[0]
-    out = [inv0]
-    for p in range(1, a.order + 1):
-        acc = 0j
-        for l in range(1, p + 1):
-            acc += a.coeffs[l] * out[p - l]
-        out.append(-inv0 * acc)
-    return ComplexSeries(tuple(out))
+    c = np.asarray(a.coeffs)
+    b = np.array([1.0 / c[0]])
+    while len(b) < len(c):
+        m = len(b)
+        k = min(2 * m, len(c))
+        err = np.convolve(c[:k], b)[m:k]
+        b = np.concatenate((b, -np.convolve(b, err)[: k - m]))
+    return ComplexSeries(tuple(b.tolist()))
 
 
 def series_compose(outer: ComplexSeries, inner: ComplexSeries) -> ComplexSeries:
     """outer(inner(z)) truncated to the smaller order of the operands.
 
-    Evaluated Horner-style in the series ring.  The truncation is only
-    valid when inner has no constant term (then the discarded outer
-    coefficients contribute O(z^{order+1})), so that is a hard
-    precondition.
+    Evaluated by Horner's rule on one numpy array; each step is a
+    convolution with inner, cut to the terms that reach the result.
+    The truncation is only valid when inner has no constant term (then
+    the discarded outer coefficients contribute O(z^{order+1})), so
+    that is a hard precondition.
 
     Raises
     ------
@@ -159,15 +155,13 @@ def series_compose(outer: ComplexSeries, inner: ComplexSeries) -> ComplexSeries:
     if inner.coeffs[0] != 0:
         raise ValueError("composition requires inner(0)=0")
     n = min(outer.order, inner.order)
-    outer_t = outer.truncated(n)
-    inner_t = inner.truncated(n)
-    acc = ComplexSeries.constant(outer_t.coeffs[n], n)
+    w = np.asarray(inner.coeffs[: n + 1])
+    # acc is multiplied by inner^k later, so only n + 1 - k terms count.
+    acc = np.asarray(outer.coeffs[n : n + 1])
     for k in range(n - 1, -1, -1):
-        acc = series_mul(acc, inner_t)
-        acc = ComplexSeries(
-            (acc.coeffs[0] + outer_t.coeffs[k],) + acc.coeffs[1:]
-        )
-    return acc
+        acc = np.convolve(acc, w[: n + 1 - k])[: n + 1 - k]
+        acc[0] += outer.coeffs[k]
+    return ComplexSeries(tuple(acc.tolist()))
 
 
 def series_exp(a: ComplexSeries) -> ComplexSeries:
@@ -186,8 +180,3 @@ def series_exp(a: ComplexSeries) -> ComplexSeries:
         out.append(acc / p)
     return ComplexSeries(tuple(out))
 
-
-def series_antiderivative(a: ComplexSeries) -> ComplexSeries:
-    """Termwise antiderivative with zero constant; order grows by one."""
-    a = _coerce(a)
-    return ComplexSeries((0j,) + tuple(a.coeffs[p] / (p + 1) for p in range(len(a))))

@@ -40,12 +40,9 @@ from .regions import (  # noqa: F401
     q_point,
     region_compute,
 )
+# bench/tracing.py patches tower_taylor and series_compose by name here.
 from .schur import INF, BlaschkeTower, tower_taylor
-from .series import (
-    ComplexSeries,
-    series_compose,
-    series_exp,
-)
+from .series import ComplexSeries, series_compose, series_exp
 
 __all__ = [
     "FunctionClass",

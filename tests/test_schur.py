@@ -245,3 +245,21 @@ def test_tower_coefficients_bounded_by_one():
         s = tower_taylor(BlaschkeTower(gamma, eps), 12)
         assert max(abs(c) for c in s.coeffs) <= 1 + 1e-12
 
+
+
+def test_tower_equality_and_hash_with_array_leaf():
+    a = BlaschkeTower((0.3, 0.1j), np.array([1, 1j]))
+    b = BlaschkeTower((0.3, 0.1j), np.array([1, 1j]))
+    c = BlaschkeTower((0.3, 0.1j), np.array([1, -1j]))
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert a != BlaschkeTower((0.3, 0.1j), 1.0)
+    assert a != BlaschkeTower((0.3, 0.2j), np.array([1, 1j]))
+    assert len({a, b, c}) == 2
+    assert BlaschkeTower((0.3,), 0.5) == BlaschkeTower((0.3 + 0j,), 0.5 + 0j)
+    assert hash(BlaschkeTower((0.3,), 0.5)) == hash(BlaschkeTower((0.3 + 0j,), 0.5 + 0j))
+
+
+def test_tower_taylor_rejects_array_leaf():
+    with pytest.raises(ValueError, match="one leaf"):
+        tower_taylor(BlaschkeTower((0.3,), np.array([1, 1j])), 8)

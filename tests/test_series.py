@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from schurvar import (
     ComplexSeries,
-    series_antiderivative,
     series_compose,
     series_exp,
     series_mul,
@@ -120,12 +119,6 @@ def test_exp_of_log_geometric():
     assert coeffs_close(series_exp(a), [1.0] * (n + 1), 1e-13)
 
 
-def test_antiderivative():
-    s = series_antiderivative(ComplexSeries((1, 2, 3)))
-    assert s.coeffs == (0j, 1 + 0j, 1 + 0j, 1 + 0j)
-    assert s.order == 3
-
-
 def test_truncated_pads_and_cuts():
     s = ComplexSeries((1, 2, 3))
     assert s.truncated(1).coeffs == (1 + 0j, 2 + 0j)
@@ -136,7 +129,6 @@ def test_truncated_pads_and_cuts():
 def test_constructors_and_validation():
     assert ComplexSeries.constant(2j, 3).coeffs == (2j, 0j, 0j, 0j)
     assert ComplexSeries.identity(2).coeffs == (0j, 1 + 0j, 0j)
-    assert ComplexSeries.from_coeffs([1, 2]).coeffs == (1 + 0j, 2 + 0j)
     with pytest.raises(ValueError):
         ComplexSeries(())
     with pytest.raises(ValueError):
@@ -166,3 +158,58 @@ def test_mul_commutes(a, b):
     sa, sb = ComplexSeries(tuple(a)), ComplexSeries(tuple(b))
     ab, ba = series_mul(sa, sb), series_mul(sb, sa)
     assert all(abs(x - y) <= 1e-12 for x, y in zip(ab.coeffs, ba.coeffs))
+
+
+series_coeffs = st.lists(complexes, min_size=1, max_size=65)
+
+
+@given(series_coeffs, series_coeffs)
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_double_loop(a, b):
+    n = min(len(a), len(b)) - 1
+    want = [sum(a[l] * b[p - l] for l in range(p + 1)) for p in range(n + 1)]
+    got = series_mul(ComplexSeries(tuple(a)), ComplexSeries(tuple(b)))
+    assert got.order == n
+    assert all(abs(g - w) <= 1e-12 for g, w in zip(got.coeffs, want))
+
+
+@given(
+    series_coeffs,
+    series_coeffs,
+    st.complex_numbers(max_magnitude=0.3, allow_nan=False, allow_infinity=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_compose_matches_pointwise_evaluation(outer, inner, z):
+    inner = [0j] + inner
+    n = min(len(outer), len(inner)) - 1
+    c = series_compose(ComplexSeries(tuple(outer)), ComplexSeries(tuple(inner)))
+    assert c.order == n
+
+    def poly(coeffs, x):
+        acc = 0j
+        for v in reversed(coeffs):
+            acc = acc * x + v
+        return acc
+
+    want = poly(outer[: n + 1], poly(inner[: n + 1], z))
+    # The truncation drops powers above n of the composed polynomials.
+    # With |coefficients| <= 1 and inner(0) = 0 they are majorized by
+    # (1 - z)/(1 - 2z) = 1 + sum 2^(p-1) z^p, so the tail at r = |z| is
+    # at most (2r)^(n+1) / (2 (1 - 2r)).
+    r = abs(z)
+    tail = (2 * r) ** (n + 1) / (2 * (1 - 2 * r))
+    assert abs(poly(c.coeffs, z) - want) <= tail + 1e-12
+
+
+@given(series_coeffs, st.floats(2, 4), st.floats(-math.pi, math.pi))
+@settings(max_examples=150, deadline=None)
+def test_reciprocal_matches_triangular_recurrence(tail, r, phi):
+    # Reference: b_0 = 1/a_0, b_p = -(1/a_0) sum_{l=1..p} a_l b_{p-l}.
+    a = [r * complex(math.cos(phi), math.sin(phi))] + tail[1:]
+    want = [1 / a[0]]
+    for p in range(1, len(a)):
+        want.append(-sum(a[l] * want[p - l] for l in range(1, p + 1)) / a[0])
+    got = series_reciprocal(ComplexSeries(tuple(a)))
+    scale = max(1.0, max(abs(w) for w in want))
+    assert got.order == len(a) - 1
+    assert all(abs(g - w) <= 1e-13 * scale for g, w in zip(got.coeffs, want))
