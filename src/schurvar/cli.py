@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -178,7 +179,9 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once: parsing does not change the parser.
     ap = argparse.ArgumentParser(
         prog="schurvar",
         description="Exact variability regions for analytic function "

@@ -9,7 +9,9 @@ quadrature-over-towers path:
   integral means, whose identity against the engine is exact,
 * a seeded Monte-Carlo sampler of admissible functions (random
   Blaschke-product leaves) whose integrals must land inside the traced
-  polygon.
+  polygon.  Every trial keeps its own seeded streams; all leaves are
+  drawn first, then one batched quadrature integrates every trial and
+  one distance call measures them all against the polygon.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domains import DomainMap
-from .quadrature import QuadratureConfig, integrate_segment
+from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
 # q_point stays importable from this module (bench/tracing.py patches it here).
 from .regions import _q, polygon_signed_distance, q_point, theta_grid  # noqa: F401
 from .schur import mobius_eval
@@ -134,6 +136,42 @@ class AdmissibleSampler:
             raise ValueError("blaschke_degree must be >= 0")
 
 
+def _draw_leaf(stream: int, degree: int) -> tuple[complex, np.ndarray]:
+    """Phase and zeros of one random Blaschke leaf, from its own stream.
+
+    One call for 1 + 2 degree uniforms u: phi = 2 pi u_0, and zero k is
+    0.9 sqrt(u_{2k+1}) e^{2 pi i u_{2k+2}} (uniform on |a| <= 0.9 by
+    sqrt-radius sampling).
+    """
+    u = np.random.default_rng(stream).random(1 + 2 * degree)
+    phase = cmath.exp(2j * math.pi * float(u[0]))
+    zeros = 0.9 * np.sqrt(u[1::2]) * np.exp(1j * (2 * np.pi * u[2::2]))
+    return phase, zeros
+
+
+def _admissible_eval(
+    domain: DomainMap,
+    gamma: tuple[complex, ...],
+    phase: complex | np.ndarray,
+    zeros: np.ndarray,
+    used: np.ndarray,
+    z: complex | np.ndarray,
+) -> complex | np.ndarray:
+    """P(tower over Blaschke leaves) at z.
+
+    ``phase`` holds one leaf's constant, or one per column; ``zeros``
+    and ``used`` hold one row per factor (shape (d,) or (d, T)), and an
+    unused factor contributes 1.  Columns broadcast against ``z``.
+    """
+    w = phase
+    for a, on in zip(zeros, used):
+        w = w * np.where(on, (z - a) / (1 - np.conj(a) * z), 1)
+    w = z * w
+    for i in range(len(gamma) - 1, 0, -1):
+        w = z * mobius_eval(gamma[i], w)
+    return domain.eval(mobius_eval(gamma[0], w))
+
+
 def sample_admissible(
     sampler: AdmissibleSampler, domain: DomainMap
 ) -> Callable[[complex], complex]:
@@ -144,28 +182,11 @@ def sample_admissible(
     undetermined higher coefficients are randomized by the leaf.  It
     takes a point or an array of points.
     """
-    rng = np.random.default_rng(sampler.seed)
-    phi = float(rng.uniform(0, 2 * math.pi))
-    zeros = []
-    for _ in range(sampler.blaschke_degree):
-        # Uniform on the disk of radius 0.9 by sqrt-radius sampling.
-        radius = 0.9 * math.sqrt(float(rng.uniform()))
-        angle = float(rng.uniform(0, 2 * math.pi))
-        zeros.append(radius * cmath.exp(1j * angle))
-    phase = cmath.exp(1j * phi)
-    g = sampler.gamma
-
-    def leaf(z):
-        w = phase
-        for a in zeros:
-            w = w * (z - a) / (1 - a.conjugate() * z)
-        return w
+    phase, zeros = _draw_leaf(sampler.seed, sampler.blaschke_degree)
+    used = np.ones(len(zeros), dtype=bool)
 
     def fn(z):
-        w = z * leaf(z)
-        for i in range(len(g) - 1, 0, -1):
-            w = z * mobius_eval(g[i], w)
-        return domain.eval(mobius_eval(g[0], w))
+        return _admissible_eval(domain, sampler.gamma, phase, zeros, used, z)
 
     return fn
 
@@ -194,12 +215,14 @@ def membership_trial(
 ) -> MembershipReport:
     """Random admissible integrals against the traced polygon.
 
-    Each trial draws a Blaschke degree from ``degrees``, builds an
-    admissible function on an independent per-trial stream derived from
-    (seed, trial index), integrates zeta^j (g - g(0)) along [0, z0],
-    and tests containment in the polygon inflated by ``inflation``.
-    Per-trial streams make the aggregate counts independent of
-    evaluation order.
+    Each trial draws a Blaschke degree from ``degrees`` and an
+    admissible function (as sample_admissible does) on independent
+    per-trial streams derived from (seed, trial index), so the counts
+    do not depend on evaluation order.  All leaves are drawn first;
+    then one batched quadrature integrates zeta^j (g - g(0)) along
+    [0, z0] for every trial at once, and one distance call tests each
+    integral for containment in the polygon inflated by ``inflation``.
+    A quadrature failure names the failing trials, z0, j and the domain.
 
     Note on degrees: degree 0 produces an extremal tower whose integral
     lies exactly ON the region boundary; against a chordal polygon it
@@ -208,38 +231,51 @@ def membership_trial(
     """
     gamma = tuple(complex(v) for v in gamma)
     z0 = complex(z0)
+    degrees = tuple(int(d) for d in degrees)
+    # Checked here because the trials are integrated before the trace.
+    if not gamma or any(abs(v) >= 1 for v in gamma):
+        raise ValueError("tower parameters must be given, each of modulus < 1")
+    if any(d < 0 for d in degrees):
+        raise ValueError("blaschke degrees must be >= 0")
+    if j < -1:
+        raise ValueError("weight exponent must satisfy j >= -1")
+    if not 0 < abs(z0) < 1:
+        raise ValueError("z0 must satisfy 0 < |z0| < 1")
+    picks = [
+        degrees[int(np.random.default_rng((seed, t, 0xD0)).integers(len(degrees)))]
+        for t in range(trials)
+    ]
+    leaves = [_draw_leaf(_stream_seed(seed, t), d) for t, d in enumerate(picks)]
+    phase = np.array([p for p, _ in leaves], dtype=complex)
+    used = np.arange(max(picks, default=0))[:, None] < np.array(picks, dtype=int)
+    zeros = np.zeros(used.shape, dtype=complex)
+    for t, (_, a) in enumerate(leaves):
+        zeros[: len(a), t] = a
+    base = domain.eval(gamma[0])
+
+    def f(zeta: np.ndarray) -> np.ndarray:
+        zeta = zeta[:, None]
+        return zeta**j * (_admissible_eval(domain, gamma, phase, zeros, used, zeta) - base)
+
+    try:
+        values = integrate_segment(f, z0, cfg)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"{exc}; trials {list(exc.columns[:4])}, z0 = {z0}, j = {j}, "
+            f"domain {domain.spec_string()}",
+            exc.estimate,
+            exc.error_bound,
+            exc.columns,
+        ) from exc
     eps = np.exp(1j * np.asarray(theta_grid(samples)))
     pts = _q(domain, gamma, j, z0, eps, cfg)
-    base = domain.eval(gamma[0])
-    degrees = tuple(int(d) for d in degrees)
-    inside = 0
-    worst = -math.inf
-    failures = []
-    for t in range(trials):
-        pick = np.random.default_rng((seed, t, 0xD0))
-        degree = int(degrees[int(pick.integers(len(degrees)))])
-        sampler = AdmissibleSampler(
-            gamma=gamma,
-            blaschke_degree=degree,
-            seed=_stream_seed(seed, t),
-        )
-        g = sample_admissible(sampler, domain)
-
-        def f(zeta: np.ndarray) -> np.ndarray:
-            return zeta**j * (g(zeta) - base)
-
-        value = integrate_segment(f, z0, cfg)
-        dist = polygon_signed_distance(pts, value)
-        worst = max(worst, dist)
-        if dist <= inflation:
-            inside += 1
-        else:
-            failures.append((t, value, dist))
+    dist = polygon_signed_distance(pts, values)
+    outside = np.flatnonzero(~(dist <= inflation)).tolist()
     return MembershipReport(
-        inside=inside,
+        inside=trials - len(outside),
         total=trials,
-        max_signed_distance=worst,
-        failures=tuple(failures),
+        max_signed_distance=float(np.max(dist, initial=-math.inf)),
+        failures=tuple((t, complex(values[t]), float(dist[t])) for t in outside),
     )
 
 

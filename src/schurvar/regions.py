@@ -294,18 +294,26 @@ def polygon_convexity(poly, tol: float = 1e-9) -> bool:
     return not (has_pos and has_neg)
 
 
-def polygon_signed_distance(poly, w: complex) -> float:
-    """Signed distance to the polygon: negative inside, positive outside."""
+def polygon_signed_distance(poly, w: complex | np.ndarray) -> float | np.ndarray:
+    """Signed distance to the polygon: negative inside, positive outside.
+
+    ``w`` is a point (the result is a float) or an array of points (the
+    result is a float array of the same shape).  Queries are measured
+    in blocks of 32, so the (queries x vertices) temporaries stay small.
+    """
     p = _points_array(poly)
-    w = complex(w)
+    ws = np.asarray(w, dtype=complex)
     e = np.roll(p, -1) - p
-    rel = w - p
-    cross = np.imag(np.conj(e) * rel)
     area2 = float(np.sum(np.imag(np.conj(p) * np.roll(p, -1))))
     orient = 1.0 if area2 >= 0 else -1.0
-    d = _segment_distances(np.asarray([w]), p)[0]
-    inside = bool(np.all(orient * cross >= 0))
-    return -d if inside else d
+    flat = ws.reshape(-1)
+    out = np.empty(flat.shape)
+    for i in range(0, len(flat), 32):
+        q = flat[i : i + 32]
+        cross = np.imag(np.conj(e) * (q[:, None] - p))
+        d = _segment_distances(q, p)
+        out[i : i + 32] = np.where(np.all(orient * cross >= 0, axis=1), -d, d)
+    return float(out[0]) if ws.ndim == 0 else out.reshape(ws.shape)
 
 
 def polygon_contains(poly, w: complex, tol: float = 1e-6) -> bool:

@@ -8,14 +8,16 @@ Operations never mutate their inputs.
 
 These are the building blocks behind the Blaschke-tower Taylor
 expansion and the extremal-coefficient pipeline.  Products are numpy
-convolutions, composition is Horner's rule on one numpy array, and the
-reciprocal is Newton's iteration (Brent & Kung 1978).  schur applies a
-Moebius level as (s + a) * (1 + conj(a) s)^-1: one reciprocal, one
-product, no general composition.
+convolutions, composition is Horner's rule on one numpy array, the
+reciprocal is Newton's iteration (Brent & Kung 1978), and exp takes one
+numpy dot per coefficient.  schur applies a Moebius level as
+(s + a) * (1 + conj(a) s)^-1: one reciprocal, one product, no general
+composition.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -167,16 +169,13 @@ def series_compose(outer: ComplexSeries, inner: ComplexSeries) -> ComplexSeries:
 def series_exp(a: ComplexSeries) -> ComplexSeries:
     """exp(a) via the termwise ODE recurrence E' = a' E.
 
-    p E_p = sum_{l=1..p} l a_l E_{p-l}, seeded with E_0 = exp(a_0).
+    p E_p = sum_{l=1..p} l a_l E_{p-l}, seeded with E_0 = exp(a_0);
+    each step is one numpy dot against the coefficients found so far.
     """
-    import cmath
-
     a = _coerce(a)
-    out = [cmath.exp(a.coeffs[0])]
-    for p in range(1, a.order + 1):
-        acc = 0j
-        for l in range(1, p + 1):
-            acc += l * a.coeffs[l] * out[p - l]
-        out.append(acc / p)
-    return ComplexSeries(tuple(out))
-
+    la = np.arange(len(a)) * np.asarray(a.coeffs)
+    out = np.empty(len(a), dtype=complex)
+    out[0] = cmath.exp(a.coeffs[0])
+    for p in range(1, len(a)):
+        out[p] = np.dot(la[1 : p + 1], out[p - 1 :: -1]) / p
+    return ComplexSeries(tuple(out.tolist()))

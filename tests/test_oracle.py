@@ -10,6 +10,8 @@ from schurvar import (
     AdmissibleSampler,
     HalfPlane,
     Janowski,
+    QuadratureConfig,
+    QuadratureError,
     gronwall_curve,
     gronwall_curve_point,
     h_transform,
@@ -179,3 +181,34 @@ def test_membership_failures_are_reported():
         assert 0 <= trial < 40
         assert dist > 1e-9
         assert isinstance(point, complex)
+
+
+def test_membership_quadrature_failure_names_trials():
+    # One bisection level cannot integrate towers this close to the
+    # rim; the batched failure must say which trials and which case.
+    with pytest.raises(QuadratureError) as info:
+        membership_trial(
+            HP, (0.9,), 0, 0.99, trials=12, seed=1, cfg=QuadratureConfig(max_depth=1)
+        )
+    err = info.value
+    msg = str(err)
+    assert "trial" in msg
+    assert "halfplane:alpha=0" in msg
+    assert "z0 = (0.99+0j)" in msg and "j = 0" in msg
+    named = msg.rsplit("trials [", 1)[1].split("]", 1)[0]
+    assert [int(t) for t in named.split(",")] == list(err.columns[:4])
+    assert err.estimate.shape == err.error_bound.shape == (12,)
+    assert err.columns and all(0 <= t < 12 for t in err.columns)
+
+
+def test_membership_rejects_bad_input_before_integrating():
+    for gamma in ((), (0.2, 1.0)):
+        with pytest.raises(ValueError):
+            membership_trial(HP, gamma, 0, 0.5, trials=2, seed=0)
+    with pytest.raises(ValueError):
+        membership_trial(HP, (0j,), 0, 0.5, trials=2, seed=0, degrees=(1, -1))
+    with pytest.raises(ValueError):
+        membership_trial(HP, (0j,), -2, 0.5, trials=2, seed=0)
+    for z0 in (0, 1.0, 0.6 + 0.8j):
+        with pytest.raises(ValueError):
+            membership_trial(HP, (0j,), 0, z0, trials=2, seed=0)

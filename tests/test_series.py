@@ -213,3 +213,21 @@ def test_reciprocal_matches_triangular_recurrence(tail, r, phi):
     scale = max(1.0, max(abs(w) for w in want))
     assert got.order == len(a) - 1
     assert all(abs(g - w) <= 1e-13 * scale for g, w in zip(got.coeffs, want))
+
+
+@given(series_coeffs)
+@settings(max_examples=150, deadline=None)
+def test_exp_matches_termwise_loop(a):
+    # Reference: the double loop p E_p = sum_{l=1..p} l a_l E_{p-l}.
+    # Rounding is bounded by the same recurrence on moduli (the
+    # coefficients of the majorant exp(sum |a_l| z^l)).
+    want = [math.exp(a[0].real) * complex(math.cos(a[0].imag), math.sin(a[0].imag))]
+    major = [abs(want[0])]
+    for p in range(1, len(a)):
+        want.append(sum(l * a[l] * want[p - l] for l in range(1, p + 1)) / p)
+        major.append(sum(l * abs(a[l]) * major[p - l] for l in range(1, p + 1)) / p)
+    got = series_exp(ComplexSeries(tuple(a)))
+    assert got.order == len(a) - 1
+    assert all(type(g) is complex for g in got.coeffs)
+    scale = max(1.0, max(major))
+    assert all(abs(g - w) <= 1e-13 * scale for g, w in zip(got.coeffs, want))
