@@ -36,8 +36,6 @@ from .domains import (
     HalfPlane,
     Janowski,
     Sector,
-    domain_eval,
-    domain_taylor,
     make_domain,
 )
 from .regions import (
@@ -57,7 +55,6 @@ from .regions import (
 from .variability import (
     FixedA2,
     FixedA2A3,
-    FunctionClass,
     GammaPair,
     VariabilityQuery,
     cv_region,
@@ -103,8 +100,6 @@ __all__ = [
     "HalfPlane",
     "Janowski",
     "Sector",
-    "domain_eval",
-    "domain_taylor",
     "make_domain",
     "RegionPolygon",
     "RegionRequest",
@@ -120,7 +115,6 @@ __all__ = [
     "theta_grid",
     "FixedA2",
     "FixedA2A3",
-    "FunctionClass",
     "GammaPair",
     "VariabilityQuery",
     "cv_region",

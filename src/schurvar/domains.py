@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .series import ComplexSeries
+from .series import ComplexSeries, series_mul
 
 __all__ = [
     "DomainSpec",
@@ -37,8 +37,6 @@ __all__ = [
     "Janowski",
     "ConicSection",
     "make_domain",
-    "domain_eval",
-    "domain_taylor",
 ]
 
 
@@ -52,9 +50,6 @@ class DomainSpec:
 
 class DomainMap:
     """Base for the catalog maps.  Immutable after construction."""
-
-    base: complex = 1 + 0j
-    convex: bool = True
 
     def __init__(self) -> None:
         self._taylor_memo: dict[int, ComplexSeries] = {}
@@ -145,20 +140,14 @@ class Sector(DomainMap):
         return np.exp(self.beta * np.log(w))
 
     def _taylor(self, order: int) -> ComplexSeries:
-        # (1+z)^b * (1-z)^{-b}: convolution of two binomial series.
+        # (1+z)^b * (1-z)^{-b}: product of two binomial series.
         b = self.beta
         up = [1 + 0j]
         down = [1 + 0j]
         for i in range(1, order + 1):
             up.append(up[-1] * (b - i + 1) / i)
             down.append(down[-1] * (b + i - 1) / i)
-        out = []
-        for p in range(order + 1):
-            acc = 0j
-            for i in range(p + 1):
-                acc += up[i] * down[p - i]
-            out.append(acc)
-        return ComplexSeries(tuple(out))
+        return series_mul(ComplexSeries(tuple(up)), ComplexSeries(tuple(down)))
 
     def spec_string(self) -> str:
         return f"sector:beta={self.beta:g}"
@@ -217,7 +206,6 @@ class ConicSection(DomainMap):
         if k > 1:
             raise ValueError("elliptic branch unsupported")
         self.k = k
-        self._alpha2: complex | None = None
 
     @property
     def alpha1(self) -> complex:
@@ -228,10 +216,8 @@ class ConicSection(DomainMap):
 
     @property
     def alpha2(self) -> complex:
-        # Not available in closed form here; extracted from the series.
-        if self._alpha2 is None:
-            self._alpha2 = self.taylor(2).coeffs[2]
-        return self._alpha2
+        # No closed form here; read off the memoized series.
+        return self.taylor(2).coeffs[2]
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
         # Principal branches of sqrt and log, as in the scalar formula.
@@ -316,13 +302,3 @@ def _as_real(v, name: str) -> float:
     if v.imag != 0:
         raise ValueError(f"parameter '{name}' must be real")
     return v.real
-
-
-def domain_eval(domain: DomainMap, z: complex) -> complex:
-    """Evaluate the map at a point of the open unit disk."""
-    return domain.eval(z)
-
-
-def domain_taylor(domain: DomainMap, order: int) -> ComplexSeries:
-    """Taylor coefficients of the map at 0, up to the given order."""
-    return domain.taylor(order)

@@ -1,7 +1,6 @@
-"""Independent cross-checks for the region engine.
+"""Cross-checks for the region engine.
 
-Three instruments, all computed by routes disjoint from the engine's
-quadrature-over-towers path:
+Three instruments:
 
 * the classical closed-form boundary curve for the half-plane family
   with a pinned real second coefficient (two weighted principal logs),
@@ -9,9 +8,14 @@ quadrature-over-towers path:
   integral means, whose identity against the engine is exact,
 * a seeded Monte-Carlo sampler of admissible functions (random
   Blaschke-product leaves) whose integrals must land inside the traced
-  polygon.  Every trial keeps its own seeded streams; all leaves are
-  drawn first, then one batched quadrature integrates every trial and
-  one distance call measures them all against the polygon.
+  polygon.
+
+The curve and H stay independent: neither climbs a tower nor calls the
+region kernel, so they check that path from outside.  Membership checks
+a different claim (functions that are not extremal land inside the
+region), so it shares the kernel on purpose, with Blaschke leaves in
+place of the extremal ones.  All leaves are drawn first, each trial
+from its own seeded streams; one kernel call integrates every trial.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domains import DomainMap
-from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
-# q_point stays importable from this module (bench/tracing.py patches it here).
-from .regions import _q, polygon_signed_distance, q_point, theta_grid  # noqa: F401
-from .schur import mobius_eval
+from .quadrature import QuadratureConfig, integrate_segment
+# q_point and mobius_eval stay importable here (bench/tracing.py patches them).
+from .regions import _q, _q_eps, polygon_signed_distance, q_point, theta_grid  # noqa: F401
+from .schur import _climb, mobius_eval  # noqa: F401
 
 __all__ = [
     "gronwall_curve_point",
@@ -149,15 +153,13 @@ def _draw_leaf(stream: int, degree: int) -> tuple[complex, np.ndarray]:
     return phase, zeros
 
 
-def _admissible_eval(
-    domain: DomainMap,
-    gamma: tuple[complex, ...],
+def _blaschke_leaf(
     phase: complex | np.ndarray,
     zeros: np.ndarray,
     used: np.ndarray,
     z: complex | np.ndarray,
 ) -> complex | np.ndarray:
-    """P(tower over Blaschke leaves) at z.
+    """The leaf value z B(z) of a tower over a Blaschke product B.
 
     ``phase`` holds one leaf's constant, or one per column; ``zeros``
     and ``used`` hold one row per factor (shape (d,) or (d, T)), and an
@@ -166,10 +168,7 @@ def _admissible_eval(
     w = phase
     for a, on in zip(zeros, used):
         w = w * np.where(on, (z - a) / (1 - np.conj(a) * z), 1)
-    w = z * w
-    for i in range(len(gamma) - 1, 0, -1):
-        w = z * mobius_eval(gamma[i], w)
-    return domain.eval(mobius_eval(gamma[0], w))
+    return z * w
 
 
 def sample_admissible(
@@ -184,11 +183,7 @@ def sample_admissible(
     """
     phase, zeros = _draw_leaf(sampler.seed, sampler.blaschke_degree)
     used = np.ones(len(zeros), dtype=bool)
-
-    def fn(z):
-        return _admissible_eval(domain, sampler.gamma, phase, zeros, used, z)
-
-    return fn
+    return lambda z: domain.eval(_climb(sampler.gamma, z, _blaschke_leaf(phase, zeros, used, z)))
 
 
 @dataclass(frozen=True)
@@ -219,28 +214,19 @@ def membership_trial(
     admissible function (as sample_admissible does) on independent
     per-trial streams derived from (seed, trial index), so the counts
     do not depend on evaluation order.  All leaves are drawn first;
-    then one batched quadrature integrates zeta^j (g - g(0)) along
-    [0, z0] for every trial at once, and one distance call tests each
-    integral for containment in the polygon inflated by ``inflation``.
-    A quadrature failure names the failing trials, z0, j and the domain.
+    then one region-kernel call, one column per trial, integrates
+    zeta^j (g - g(0)) along [0, z0], and one distance call tests each
+    integral against the polygon inflated by ``inflation``.  The kernel
+    checks gamma, j and z0, and a quadrature failure names the trials.
 
     Note on degrees: degree 0 produces an extremal tower whose integral
     lies exactly ON the region boundary; against a chordal polygon it
     can sit outside by the local chord sag, so the default draws
     degrees 1..4, which stay strictly interior.
     """
-    gamma = tuple(complex(v) for v in gamma)
-    z0 = complex(z0)
     degrees = tuple(int(d) for d in degrees)
-    # Checked here because the trials are integrated before the trace.
-    if not gamma or any(abs(v) >= 1 for v in gamma):
-        raise ValueError("tower parameters must be given, each of modulus < 1")
     if any(d < 0 for d in degrees):
         raise ValueError("blaschke degrees must be >= 0")
-    if j < -1:
-        raise ValueError("weight exponent must satisfy j >= -1")
-    if not 0 < abs(z0) < 1:
-        raise ValueError("z0 must satisfy 0 < |z0| < 1")
     picks = [
         degrees[int(np.random.default_rng((seed, t, 0xD0)).integers(len(degrees)))]
         for t in range(trials)
@@ -251,24 +237,12 @@ def membership_trial(
     zeros = np.zeros(used.shape, dtype=complex)
     for t, (_, a) in enumerate(leaves):
         zeros[: len(a), t] = a
-    base = domain.eval(gamma[0])
-
-    def f(zeta: np.ndarray) -> np.ndarray:
-        zeta = zeta[:, None]
-        return zeta**j * (_admissible_eval(domain, gamma, phase, zeros, used, zeta) - base)
-
-    try:
-        values = integrate_segment(f, z0, cfg)
-    except QuadratureError as exc:
-        raise QuadratureError(
-            f"{exc}; trials {list(exc.columns[:4])}, z0 = {z0}, j = {j}, "
-            f"domain {domain.spec_string()}",
-            exc.estimate,
-            exc.error_bound,
-            exc.columns,
-        ) from exc
+    values = _q(
+        domain, gamma, j, z0, lambda zeta: _blaschke_leaf(phase, zeros, used, zeta), cfg,
+        lambda cols: f"trials {list(cols[:4])}",
+    )
     eps = np.exp(1j * np.asarray(theta_grid(samples)))
-    pts = _q(domain, gamma, j, z0, eps, cfg)
+    pts = _q_eps(domain, gamma, j, z0, eps, cfg)
     dist = polygon_signed_distance(pts, values)
     outside = np.flatnonzero(~(dist <= inflation)).tolist()
     return MembershipReport(

@@ -25,18 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
-from .schur import (
-    BlaschkeTower,
-    Classification,
-    schur_parameters,
-    tower_eval,
-)
+# tower_eval stays importable from this module (bench/tracing.py patches it here).
+from .schur import Classification, _climb, schur_parameters, tower_eval  # noqa: F401
 
 __all__ = [
     "RegionRequest",
@@ -66,37 +62,59 @@ def _q(
     gamma: Sequence[complex],
     j: int,
     z0: complex,
-    eps: Sequence[complex] | np.ndarray,
+    leaf: Callable[[np.ndarray], np.ndarray],
     cfg: QuadratureConfig | None,
+    names: Callable[[tuple[int, ...]], str],
 ) -> np.ndarray:
-    """Q_{gamma,j}(z0, eps) for every leaf of the 1-D sequence ``eps``.
+    """Q_{gamma,j}(z0, .) for the towers over the leaf self-maps ``leaf``.
 
-    The one integral kernel of the package: every panel evaluates the
-    towers of all leaves on its nodes in one array pass.  A quadrature
-    failure is re-raised naming the failing leaves, z0 and the domain.
+    The one integral kernel: ``leaf`` maps the (15, 1) panel nodes to
+    one column of leaf values per tower (eps zeta for a trace, zeta
+    B(zeta) for membership), and every panel climbs all towers in one
+    array pass.  Inputs are checked before the first panel; a quadrature
+    failure names z0, j, the domain and, via ``names``, the columns.
     """
     if j < -1:
         raise ValueError("weight exponent must satisfy j >= -1")
     z0 = complex(z0)
     if not 0 < abs(z0) < 1:
         raise ValueError("z0 must satisfy 0 < |z0| < 1")
-    tower = BlaschkeTower(tuple(gamma), eps)
-    base = domain.eval(tower.gamma[0])
+    gamma = tuple(complex(v) for v in gamma)
+    if not gamma or any(abs(v) >= 1 for v in gamma):
+        raise ValueError("tower parameters must be given, each of modulus < 1")
+    base = domain.eval(gamma[0])
 
     def f(zeta: np.ndarray) -> np.ndarray:
         zeta = zeta[:, None]
-        return zeta**j * (domain.eval(tower_eval(tower, zeta)) - base)
+        return zeta**j * (domain.eval(_climb(gamma, zeta, leaf(zeta))) - base)
 
     try:
         return integrate_segment(f, z0, cfg)
     except QuadratureError as exc:
-        bad = tower.epsilon[list(exc.columns)][:4].tolist()
         raise QuadratureError(
-            f"{exc}; eps = {bad}, z0 = {z0}, j = {j}, domain {domain.spec_string()}",
+            f"{exc}; {names(exc.columns)}, z0 = {z0}, j = {j}, domain {domain.spec_string()}",
             exc.estimate,
             exc.error_bound,
             exc.columns,
         ) from exc
+
+
+def _q_eps(
+    domain: DomainMap,
+    gamma: Sequence[complex],
+    j: int,
+    z0: complex,
+    eps: Sequence[complex] | np.ndarray,
+    cfg: QuadratureConfig | None,
+) -> np.ndarray:
+    """_q over the extremal leaves eps * zeta, one column per entry of eps."""
+    eps = np.asarray(eps, dtype=complex)
+    if np.any(np.abs(eps) > 1 + 1e-12):
+        raise ValueError("leaf parameter must satisfy |eps| <= 1")
+    return _q(
+        domain, gamma, j, z0, lambda zeta: eps * zeta, cfg,
+        lambda cols: f"eps = {eps[list(cols)][:4].tolist()}",
+    )
 
 
 def q_point(
@@ -123,7 +141,7 @@ def q_point(
     eps : complex
         Leaf parameter, |eps| <= 1.
     """
-    return complex(_q(domain, gamma, j, z0, [complex(eps)], cfg)[0])
+    return complex(_q_eps(domain, gamma, j, z0, [complex(eps)], cfg)[0])
 
 
 def k_primitive(
@@ -136,12 +154,9 @@ def k_primitive(
     disk of radius |z0|.  K(0) = 0 by the empty contour.  K(eps z) is
     the tower integral Q with data (0,), weight -1 and leaf eps.
     """
-    z = complex(z)
-    if abs(z) >= 1:
-        raise ValueError("argument must satisfy |z| < 1")
     if z == 0:
         return 0j
-    return complex(_q(domain, (0j,), -1, z, [1 + 0j], cfg)[0])
+    return complex(_q_eps(domain, (0j,), -1, z, [1 + 0j], cfg)[0])
 
 
 def single_point_value(
@@ -162,7 +177,7 @@ def single_point_value(
     g = [complex(v) for v in gamma_prefix]
     if len(g) == 1:
         return 0j
-    return complex(_q(domain, g[:-1], j, z0, [g[-1]], cfg)[0])
+    return complex(_q_eps(domain, g[:-1], j, z0, [g[-1]], cfg)[0])
 
 
 @dataclass(frozen=True)
@@ -258,7 +273,7 @@ def region_compute(req: RegionRequest) -> RegionResult:
         return RegionResult.single_point(w0, sp)
     thetas = theta_grid(req.samples)
     eps = np.exp(1j * np.asarray(thetas))
-    pts = _q(req.domain, sp.gamma, req.j, req.z0, eps, req.quad)
+    pts = _q_eps(req.domain, sp.gamma, req.j, req.z0, eps, req.quad)
     if np.any(pts == np.roll(pts, -1)):
         raise RuntimeError("trace degenerate")
     poly = RegionPolygon(
@@ -298,21 +313,12 @@ def polygon_signed_distance(poly, w: complex | np.ndarray) -> float | np.ndarray
     """Signed distance to the polygon: negative inside, positive outside.
 
     ``w`` is a point (the result is a float) or an array of points (the
-    result is a float array of the same shape).  Queries are measured
-    in blocks of 32, so the (queries x vertices) temporaries stay small.
+    result is a float array of the same shape).
     """
     p = _points_array(poly)
     ws = np.asarray(w, dtype=complex)
-    e = np.roll(p, -1) - p
     area2 = float(np.sum(np.imag(np.conj(p) * np.roll(p, -1))))
-    orient = 1.0 if area2 >= 0 else -1.0
-    flat = ws.reshape(-1)
-    out = np.empty(flat.shape)
-    for i in range(0, len(flat), 32):
-        q = flat[i : i + 32]
-        cross = np.imag(np.conj(e) * (q[:, None] - p))
-        d = _segment_distances(q, p)
-        out[i : i + 32] = np.where(np.all(orient * cross >= 0, axis=1), -d, d)
+    out = _boundary_distances(p, ws.reshape(-1), 1.0 if area2 >= 0 else -1.0)
     return float(out[0]) if ws.ndim == 0 else out.reshape(ws.shape)
 
 
@@ -321,20 +327,27 @@ def polygon_contains(poly, w: complex, tol: float = 1e-6) -> bool:
     return polygon_signed_distance(poly, w) <= tol
 
 
-def _segment_distances(ws: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Distance from each query point to the polygon boundary.
+def _boundary_distances(p: np.ndarray, ws: np.ndarray, orient: float = 0.0) -> np.ndarray:
+    """Distance from each query point to the boundary of the polygon p.
 
-    ws: (n,) complex queries; p: (m,) polygon vertices.  Vectorized over
-    all n*m point-segment pairs.
+    The edges are built once; queries go in blocks of 32, so the
+    (32 x m) temporaries stay small.  A nonzero ``orient`` (+1 or -1,
+    the polygon's turning sign) negates the distance of inside queries.
     """
-    q = np.roll(p, -1)
-    e = q - p
+    e = np.roll(p, -1) - p
     ee = np.abs(e) ** 2
     ee = np.where(ee == 0, 1.0, ee)
-    rel = ws[:, None] - p[None, :]
-    t = np.clip(np.real(rel * np.conj(e)[None, :]) / ee[None, :], 0.0, 1.0)
-    foot = p[None, :] + t * e[None, :]
-    return np.min(np.abs(ws[:, None] - foot), axis=1)
+    out = np.empty(ws.shape)
+    for i in range(0, len(ws), 32):
+        q = ws[i : i + 32, None]
+        rel = q - p
+        t = np.clip(np.real(rel * np.conj(e)) / ee, 0.0, 1.0)
+        d = np.min(np.abs(q - (p + t * e)), axis=1)
+        if orient:
+            inside = np.all(orient * np.imag(np.conj(e) * rel) >= 0, axis=1)
+            d = np.where(inside, -d, d)
+        out[i : i + 32] = d
+    return out
 
 
 def hausdorff(a, b) -> float:
@@ -346,6 +359,6 @@ def hausdorff(a, b) -> float:
     """
     pa = _points_array(a)
     pb = _points_array(b)
-    d_ab = float(np.max(_segment_distances(pa, pb)))
-    d_ba = float(np.max(_segment_distances(pb, pa)))
+    d_ab = float(np.max(_boundary_distances(pb, pa)))
+    d_ba = float(np.max(_boundary_distances(pa, pb)))
     return max(d_ab, d_ba)

@@ -264,11 +264,18 @@ def tower_eval(
     Array leaves broadcast against ``z``: leaves of shape (m,) and
     points of shape (n, 1) give the (n, m) values of m towers.
     """
-    w = tower.epsilon * z
-    g = tower.gamma
-    for i in range(len(g) - 1, 0, -1):
-        w = z * mobius_eval(g[i], w)
-    return mobius_eval(g[0], w)
+    return _climb(tower.gamma, z, tower.epsilon * z)
+
+
+def _climb(gamma: tuple[complex, ...], z, w):
+    """s_{g0}(z s_{g1}(... z s_{gn}(w) ...)): the tower over the leaf value w.
+
+    The one pointwise climb: tower_eval passes the leaf eps z, the
+    region kernel and the admissible sampler pass leaves of their own.
+    """
+    for a in gamma[:0:-1]:
+        w = z * mobius_eval(a, w)
+    return mobius_eval(gamma[0], w)
 
 
 def tower_taylor(tower: BlaschkeTower, order: int) -> ComplexSeries:

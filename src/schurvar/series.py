@@ -71,18 +71,6 @@ class ComplexSeries:
             c = c + (0j,) * (order + 1 - len(c))
         return ComplexSeries(c)
 
-    def __add__(self, other: "ComplexSeries") -> "ComplexSeries":
-        n = min(self.order, other.order)
-        return ComplexSeries(
-            tuple(self.coeffs[p] + other.coeffs[p] for p in range(n + 1))
-        )
-
-    def __sub__(self, other: "ComplexSeries") -> "ComplexSeries":
-        n = min(self.order, other.order)
-        return ComplexSeries(
-            tuple(self.coeffs[p] - other.coeffs[p] for p in range(n + 1))
-        )
-
     def __mul__(self, other: "ComplexSeries") -> "ComplexSeries":
         return series_mul(self, other)
 

@@ -25,7 +25,6 @@ arithmetic and close the loop back to (lambda, mu).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,6 @@ from .schur import INF, BlaschkeTower, tower_taylor
 from .series import ComplexSeries, series_compose, series_exp
 
 __all__ = [
-    "FunctionClass",
     "FixedA2",
     "FixedA2A3",
     "VariabilityQuery",
@@ -58,11 +56,6 @@ __all__ = [
 ]
 
 _TOL_UNIT = 1e-12
-
-
-class FunctionClass(enum.Enum):
-    CONVEX = "convex"
-    STARLIKE = "starlike"
 
 
 @dataclass(frozen=True)
@@ -85,15 +78,13 @@ class VariabilityQuery:
     """A region request phrased in coefficient terms.
 
     constraint is None (whole class), FixedA2, or FixedA2A3.  The
-    target class only relabels the functional (log f'(z0) for the
-    convex family, log(h(z0)/z0) for the starlike one); the region is
-    identical.
+    region is that of log f'(z0) over the convex-type class, and equally
+    that of log(h(z0)/z0) over the associated starlike-type class.
     """
 
     domain: DomainMap
     z0: complex
     constraint: FixedA2 | FixedA2A3 | None = None
-    target: FunctionClass = FunctionClass.CONVEX
 
 
 @dataclass(frozen=True)

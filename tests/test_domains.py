@@ -19,8 +19,6 @@ from schurvar import (
     HalfPlane,
     Janowski,
     Sector,
-    domain_eval,
-    domain_taylor,
     make_domain,
 )
 
@@ -54,8 +52,8 @@ def test_halfplane_range():
 def test_cayley_spot_values():
     # (1 + z)/(1 - z) at z = 1/2, for the right half-plane and its
     # conic degeneration alike.
-    assert abs(domain_eval(HalfPlane(0.0), 0.5) - 3.0) <= 1e-14
-    assert abs(domain_eval(ConicSection(0.0), 0.5) - 3.0) <= 1e-10
+    assert abs(HalfPlane(0.0).eval(0.5) - 3.0) <= 1e-14
+    assert abs(ConicSection(0.0).eval(0.5) - 3.0) <= 1e-10
 
 
 def test_halfplane_alpha_validation():
@@ -213,12 +211,6 @@ def test_make_domain_rejects_unknown():
 def test_spec_string_identifies_domain():
     assert HalfPlane(0.5).spec_string() == "halfplane:alpha=0.5"
     assert ConicSection(1.0).spec_string() == "kucv:k=1"
-
-
-def test_free_function_wrappers():
-    d = HalfPlane()
-    assert domain_eval(d, 0.3) == d.eval(0.3)
-    assert domain_taylor(d, 4).coeffs == d.taylor(4).coeffs
 
 
 def test_conic_taylor_reaches_order_64():

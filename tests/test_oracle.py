@@ -8,10 +8,12 @@ import pytest
 
 from schurvar import (
     AdmissibleSampler,
+    ConicSection,
     HalfPlane,
     Janowski,
     QuadratureConfig,
     QuadratureError,
+    Sector,
     gronwall_curve,
     gronwall_curve_point,
     h_transform,
@@ -21,6 +23,7 @@ from schurvar import (
     schur_parameters,
     theta_grid,
 )
+from schurvar.oracle import _draw_leaf, _stream_seed
 
 HP = HalfPlane()
 
@@ -212,3 +215,25 @@ def test_membership_rejects_bad_input_before_integrating():
     for z0 in (0, 1.0, 0.6 + 0.8j):
         with pytest.raises(ValueError):
             membership_trial(HP, (0j,), 0, z0, trials=2, seed=0)
+
+
+@pytest.mark.parametrize("j", [-1, 0, 2])
+@pytest.mark.parametrize(
+    "dom",
+    [HP, Sector(0.5), Janowski(2, -1), ConicSection(1.0)],
+    ids=lambda d: d.spec_string(),
+)
+def test_membership_degree_zero_leaf_equals_q_point(dom, j):
+    # A degree-0 Blaschke leaf zeta B(zeta) is the extremal leaf
+    # phase * zeta, so each trial value must be the trace kernel's
+    # value at that trial's drawn phase.  Inflation -inf reports every
+    # trial with its value.
+    gamma, z0, seed, trials = (0.1, 0.3 - 0.2j), 0.6 + 0.2j, 5, 6
+    rep = membership_trial(
+        dom, gamma, j, z0, trials, seed, degrees=(0,), inflation=-math.inf
+    )
+    assert [t for t, _, _ in rep.failures] == list(range(trials))
+    for t, value, _ in rep.failures:
+        phase, _ = _draw_leaf(_stream_seed(seed, t), 0)
+        want = q_point(dom, gamma, j, z0, phase)
+        assert abs(value - want) <= 1e-12 * abs(want)

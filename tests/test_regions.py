@@ -18,7 +18,6 @@ from schurvar import (
     RegionPolygon,
     RegionRequest,
     Sector,
-    domain_eval,
     hausdorff,
     integrate_segment,
     k_primitive,
@@ -122,7 +121,7 @@ def test_q_point_zero_data_matches_direct_power_map():
             got = q_point(dom, (0j,) * n, -1, z0, eps)
 
             def direct(zeta, dom=dom, n=n):
-                return (domain_eval(dom, eps * zeta**n) - 1) / zeta
+                return (dom.eval(eps * zeta**n) - 1) / zeta
 
             assert abs(got - integrate_segment(direct, z0)) <= 1e-11
 

@@ -17,7 +17,6 @@ from schurvar import (
     ConicSection,
     FixedA2,
     FixedA2A3,
-    FunctionClass,
     HalfPlane,
     Janowski,
     RegionRequest,
@@ -126,12 +125,6 @@ def test_trace_vertex_is_extremal_value():
     q = q_point(HP, (0j, 0.3), -1, 0.5, eps)
     assert abs(pts[m] - q) <= 1e-12 * max(1.0, abs(q))
     assert polygon_signed_distance(pts[:m] + pts[m + 1 :], pts[m]) > 0
-
-
-def test_cv_region_starlike_target_is_same_region():
-    a = cv_region(VariabilityQuery(HP, 0.5, FixedA2(0.3), FunctionClass.CONVEX), samples=16)
-    b = cv_region(VariabilityQuery(HP, 0.5, FixedA2(0.3), FunctionClass.STARLIKE), samples=16)
-    assert a.polygon.points == b.polygon.points
 
 
 def test_cv_region_endpoint_validation():
