@@ -30,7 +30,7 @@ import numpy as np
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, integrate_segment
 # q_point and mobius_eval stay importable here (bench/tracing.py patches them).
-from .regions import _q, _q_eps, polygon_signed_distance, q_point, theta_grid  # noqa: F401
+from .regions import _q, _q_eps, _thetas, polygon_signed_distance, q_point, theta_grid  # noqa: F401
 from .schur import _climb, mobius_eval  # noqa: F401
 
 __all__ = [
@@ -238,11 +238,11 @@ def membership_trial(
     for t, (_, a) in enumerate(leaves):
         zeros[: len(a), t] = a
     values = _q(
-        domain, gamma, j, z0, lambda zeta: _blaschke_leaf(phase, zeros, used, zeta), cfg,
+        domain, gamma, j, z0,
+        lambda zeta, cols: _blaschke_leaf(phase[cols], zeros[:, cols], used[:, cols], zeta), cfg,
         lambda cols: f"trials {list(cols[:4])}",
     )
-    eps = np.exp(1j * np.asarray(theta_grid(samples)))
-    pts = _q_eps(domain, gamma, j, z0, eps, cfg)
+    pts = _q_eps(domain, gamma, j, z0, np.exp(1j * _thetas(samples)), cfg)
     dist = polygon_signed_distance(pts, values)
     outside = np.flatnonzero(~(dist <= inflation)).tolist()
     return MembershipReport(

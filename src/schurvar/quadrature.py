@@ -9,9 +9,14 @@ removable singularity at the origin (the 1/zeta weight against a
 vanishing numerator) are evaluated safely without special-casing.
 
 The integrand is called once per panel on its 15 nodes.  A vector
-integrand, one column per integral, shares the panels of all columns
-(as in QUADPACK's vector variants): a panel is accepted only when every
-column meets its own share of the budget.
+integrand returns one column per integral, and acceptance is per
+column, as QUADPACK applies its local test to each integral on its own:
+a column that meets its share of the budget on a panel keeps that
+panel, and only the columns still short are evaluated on the two
+halves.  An integrand may carry ``take(cols)``, returning the integrand
+restricted to those (global) column indices, so that refined panels
+compute only those columns; without it the full integrand is evaluated
+and sliced.  A column's sums are bit-identical on both routes.
 """
 
 from __future__ import annotations
@@ -110,16 +115,23 @@ def integrate_segment(
 
     For every column the estimated error of the result is at most
     max(abs_tol, rel_tol * |result|); the relative scale is taken from
-    a first whole-segment panel.  The integrand must be analytic on a
-    neighborhood of the segment (a removable singularity at 0 is fine:
-    no node touches an endpoint).
+    a first whole-segment panel.  A column is accepted on the first
+    panel of each branch that meets its share of that budget (or at
+    max_depth); the others go on to the panel's halves.  The integrand
+    must be analytic on a neighborhood of the segment (a removable
+    singularity at 0 is fine: no node touches an endpoint).
 
     Parameters
     ----------
     integrand : callable
-        Called once per panel with the panel's 15 nodes, a complex array
-        of shape (15,).  Returning shape (15,) gives a complex result;
-        shape (15, m) gives the (m,) array of m integrals.
+        Called with the panel's 15 nodes, a complex array of shape
+        (15,).  Returning shape (15,) gives a complex result (one
+        column); shape (15, m) gives the (m,) array of m integrals.
+        An optional attribute ``take(cols)`` returns the integrand
+        restricted to the global column indices ``cols`` (an integer
+        array), whose values must equal the sliced full output; a panel
+        refined for fewer than all columns then calls
+        ``integrand.take(cols)(zeta)`` instead of evaluating every column.
     z_end : complex
         Endpoint; 0 gives the empty contour and an exact 0 result
         without calling the integrand.
@@ -128,9 +140,10 @@ def integrate_segment(
     Raises
     ------
     QuadratureError
-        If some panel still fails its budget at max_depth (the
+        If some column still fails its budget at max_depth (the
         exception carries each column's estimate and error bound), or
-        if the integrand returns a non-finite value.
+        if the integrand returns a non-finite value in a column still
+        being refined.
     """
     if cfg is None:
         cfg = DEFAULT_CONFIG
@@ -138,52 +151,78 @@ def integrate_segment(
     if z_end == 0:
         return 0j
 
-    def panel(a: float, b: float):
-        """One G7/K15 panel on [a, b] in t: (K15 values, |K15 - G7|)."""
-        h = 0.5 * (b - a)
-        zeta = (0.5 * (a + b) + h * _X) * z_end
-        f = np.asarray(integrand(zeta))
+    def nodes(a: float, b: float) -> np.ndarray:
+        return (0.5 * (a + b) + 0.5 * (b - a) * _X) * z_end
+
+    def rule(a: float, b: float, cols: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
+        """K15 values and |K15 - G7| on [a, b] from the values f of columns cols."""
+        # A contiguous copy makes the BLAS sums of a sliced column equal
+        # to those of a freshly computed one.
+        f = np.ascontiguousarray(f).reshape(15, -1)
         finite = np.isfinite(f).all(axis=0)
         if not finite.all():
-            cols = tuple(np.flatnonzero(~finite).tolist())
+            bad = tuple(cols[~finite].tolist())
             raise QuadratureError(
-                f"non-finite integrand value on [0, {z_end}] in column(s) {list(cols)}",
+                f"non-finite integrand value on [0, {z_end}] in column(s) {list(bad)}",
                 complex("nan"),
                 np.inf,
-                cols,
+                bad,
             )
+        h = 0.5 * (b - a)
         return h * (_WK @ f), h * np.abs(_WD @ f)
 
-    first, err0 = panel(0.0, 1.0)
+    take = getattr(integrand, "take", None)
+
+    def panel(a: float, b: float, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """rule on [a, b] for columns cols: every column from the integrand
+        itself, fewer through its take, or else sliced from every column."""
+        zeta = nodes(a, b)
+        if len(cols) == len(tol_t):
+            return rule(a, b, cols, integrand(zeta))
+        if take is not None:
+            return rule(a, b, cols, take(cols)(zeta))
+        return rule(a, b, cols, np.asarray(integrand(zeta)).reshape(15, -1)[:, cols])
+
+    f = np.asarray(integrand(nodes(0.0, 1.0)))
+    scalar = f.ndim == 1
+    cols = np.arange(f.size // 15)
+    first, err0 = rule(0.0, 1.0, cols, f)
     scale = abs(z_end)
     # Error budget in t-space per column, shared by panels in
     # proportion to their length.
     tol_t = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(first) * scale) / scale
 
-    total = 0j
-    bound = 0.0
-    failed = np.False_
-    stack = [(0.0, 1.0, 0, first, err0)]
+    total = np.zeros(len(cols), dtype=complex)
+    bound = np.zeros(len(cols))
+    failed = np.zeros(len(cols), dtype=bool)
+    stack = [(0.0, 1.0, 0, cols, tol_t, first, err0)]
     while stack:
-        a, b, depth, val, err = stack.pop()
-        short = err > tol_t * (b - a)
-        if depth >= cfg.max_depth or not short.any():
-            total = total + val
-            bound = bound + err
-            failed = failed | short
-        else:
+        a, b, depth, cols, tol, val, err = stack.pop()
+        short = err > tol * (b - a)
+        if depth >= cfg.max_depth:
+            failed[cols] |= short
+            short[:] = False
+        if short.any():
+            keep = ~short
+            total[cols[keep]] += val[keep]
+            bound[cols[keep]] += err[keep]
+            cols, tol = cols[short], tol[short]
             m = 0.5 * (a + b)
-            stack.append((m, b, depth + 1, *panel(m, b)))
-            stack.append((a, m, depth + 1, *panel(a, m)))
-    if np.ndim(total) == 0:
-        total, bound = complex(total), float(bound)
+            stack.append((m, b, depth + 1, cols, tol, *panel(m, b, cols)))
+            stack.append((a, m, depth + 1, cols, tol, *panel(a, m, cols)))
+        else:
+            total[cols] += val
+            bound[cols] += err
+    if scalar:
+        total, bound = complex(total[0]), float(bound[0])
+    total, bound = z_end * total, scale * bound
     if failed.any():
-        cols = tuple(np.flatnonzero(failed).tolist())
+        bad = tuple(np.flatnonzero(failed).tolist())
         raise QuadratureError(
             f"max depth {cfg.max_depth} exceeded without convergence "
-            f"on [0, {z_end}] in column(s) {list(cols)}",
-            z_end * total,
-            scale * bound,
-            cols,
+            f"on [0, {z_end}] in column(s) {list(bad)}",
+            total,
+            bound,
+            bad,
         )
-    return z_end * total
+    return total

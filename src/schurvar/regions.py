@@ -23,7 +23,6 @@ are the measuring instruments used by the test oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,9 +51,14 @@ __all__ = [
 
 def theta_grid(samples: int) -> tuple[float, ...]:
     """Trace angles theta_m = -pi + 2 pi m / samples, m = 0..samples-1."""
+    return tuple(_thetas(samples).tolist())
+
+
+def _thetas(samples: int) -> np.ndarray:
+    """theta_grid as an array (the same floats, bit for bit)."""
     if samples < 8:
         raise ValueError("samples must be >= 8")
-    return tuple(-math.pi + 2 * math.pi * m / samples for m in range(samples))
+    return -np.pi + 2 * np.pi * np.arange(samples) / samples
 
 
 def _q(
@@ -62,17 +66,21 @@ def _q(
     gamma: Sequence[complex],
     j: int,
     z0: complex,
-    leaf: Callable[[np.ndarray], np.ndarray],
+    leaf: Callable[[np.ndarray, slice | np.ndarray], np.ndarray],
     cfg: QuadratureConfig | None,
     names: Callable[[tuple[int, ...]], str],
 ) -> np.ndarray:
     """Q_{gamma,j}(z0, .) for the towers over the leaf self-maps ``leaf``.
 
-    The one integral kernel: ``leaf`` maps the (15, 1) panel nodes to
-    one column of leaf values per tower (eps zeta for a trace, zeta
-    B(zeta) for membership), and every panel climbs all towers in one
-    array pass.  Inputs are checked before the first panel; a quadrature
-    failure names z0, j, the domain and, via ``names``, the columns.
+    The one integral kernel: ``leaf(zeta, cols)`` maps the (15, 1) panel
+    nodes to one column of leaf values per tower in ``cols`` (a slice
+    or an index array; eps[cols] zeta for a trace, zeta B(zeta) of the
+    trials cols for membership), and every panel climbs those towers in
+    one array pass.  The integrand's ``take`` restricts it to ``cols``,
+    so a panel refined for the columns still short of their budget
+    climbs only those towers.  Inputs are checked before the first
+    panel; a quadrature failure names z0, j, the domain and, via
+    ``names``, the columns.
     """
     if j < -1:
         raise ValueError("weight exponent must satisfy j >= -1")
@@ -84,12 +92,15 @@ def _q(
         raise ValueError("tower parameters must be given, each of modulus < 1")
     base = domain.eval(gamma[0])
 
-    def f(zeta: np.ndarray) -> np.ndarray:
-        zeta = zeta[:, None]
-        return zeta**j * (domain.eval(_climb(gamma, zeta, leaf(zeta))) - base)
+    def integrand(cols: slice | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        def f(zeta: np.ndarray) -> np.ndarray:
+            zeta = zeta[:, None]
+            return zeta**j * (domain.eval(_climb(gamma, zeta, leaf(zeta, cols))) - base)
+
+        return f
 
     try:
-        return integrate_segment(f, z0, cfg)
+        return integrate_segment(_taking(integrand, slice(None)), z0, cfg)
     except QuadratureError as exc:
         raise QuadratureError(
             f"{exc}; {names(exc.columns)}, z0 = {z0}, j = {j}, domain {domain.spec_string()}",
@@ -97,6 +108,18 @@ def _q(
             exc.error_bound,
             exc.columns,
         ) from exc
+
+
+def _taking(make: Callable, cols: slice | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """make(cols), carrying take(c) = _taking(make, c).
+
+    Built here rather than by a closure that names itself, which would
+    be a reference cycle holding each call's arrays until the garbage
+    collector runs.
+    """
+    f = make(cols)
+    f.take = lambda c: _taking(make, c)
+    return f
 
 
 def _q_eps(
@@ -112,7 +135,7 @@ def _q_eps(
     if np.any(np.abs(eps) > 1 + 1e-12):
         raise ValueError("leaf parameter must satisfy |eps| <= 1")
     return _q(
-        domain, gamma, j, z0, lambda zeta: eps * zeta, cfg,
+        domain, gamma, j, z0, lambda zeta, cols: eps[cols] * zeta, cfg,
         lambda cols: f"eps = {eps[list(cols)][:4].tolist()}",
     )
 
@@ -216,7 +239,7 @@ class RegionPolygon:
     gamma: tuple[complex, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(complex(p) for p in self.points))
+        object.__setattr__(self, "points", tuple(np.asarray(self.points, dtype=complex).tolist()))
         if len(self.points) < 3:
             raise ValueError("polygon needs at least 3 points")
 
@@ -271,14 +294,13 @@ def region_compute(req: RegionRequest) -> RegionResult:
         prefix = sp.gamma[: sp.boundary_index + 1]
         w0 = single_point_value(req.domain, prefix, req.j, req.z0, req.quad)
         return RegionResult.single_point(w0, sp)
-    thetas = theta_grid(req.samples)
-    eps = np.exp(1j * np.asarray(thetas))
-    pts = _q_eps(req.domain, sp.gamma, req.j, req.z0, eps, req.quad)
+    thetas = _thetas(req.samples)
+    pts = _q_eps(req.domain, sp.gamma, req.j, req.z0, np.exp(1j * thetas), req.quad)
     if np.any(pts == np.roll(pts, -1)):
         raise RuntimeError("trace degenerate")
     poly = RegionPolygon(
         points=pts,
-        thetas=thetas,
+        thetas=tuple(thetas.tolist()),
         z0=req.z0,
         j=req.j,
         gamma=sp.gamma,

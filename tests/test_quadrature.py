@@ -5,7 +5,8 @@ import cmath
 import numpy as np
 import pytest
 
-from schurvar import QuadratureConfig, QuadratureError, integrate_segment
+from schurvar import QuadratureConfig, QuadratureError, Sector, integrate_segment, q_point
+from schurvar.regions import _q_eps
 
 
 def test_monomials_integrate_exactly():
@@ -136,6 +137,8 @@ def test_failing_columns_are_named():
     assert "column(s) [1]" in str(err)
     assert err.estimate.shape == (3,) and err.error_bound.shape == (3,)
     assert abs(err.estimate[0] + cmath.log(1 - 1 / 5.0)) <= 1e-12
+    assert abs(err.estimate[2] + cmath.log(1 - 1 / 7.0)) <= 1e-12
+    assert err.error_bound[0] <= 1e-12 and err.error_bound[1] > err.error_bound[0]
 
 
 def test_non_finite_integrand_raises():
@@ -145,3 +148,65 @@ def test_non_finite_integrand_raises():
         with pytest.raises(QuadratureError) as info:
             integrate_segment(lambda zeta: np.stack([zeta, np.sqrt(zeta - 0.5) / 0], axis=1), 1.0)
     assert info.value.columns == (1,)
+
+
+def _poles(cols=slice(None), calls=None):
+    """1/(p - zeta) for poles p at growing distance past the endpoint 0.95,
+    with ``take``; ``calls`` records the columns of every evaluation."""
+    poles = 0.96 + 0.5 * np.arange(8) ** 2
+
+    def f(zeta):
+        if calls is not None:
+            calls.append(np.arange(8)[cols])
+        return 1 / (poles[cols] - zeta[:, None])
+
+    f.take = lambda c: _poles(c, calls)
+    return f
+
+
+def test_refined_panels_evaluate_only_short_columns():
+    calls = []
+    got = integrate_segment(_poles(calls=calls), 0.95)
+    poles = 0.96 + 0.5 * np.arange(8) ** 2
+    assert np.max(np.abs(got + np.log(1 - 0.95 / poles))) <= 1e-12 * np.max(np.abs(got))
+    # The first panel takes every column; the farthest pole meets its
+    # budget there and is never evaluated again, and no refined panel
+    # evaluates every column.
+    assert calls[0].tolist() == list(range(8))
+    assert all(c.size < 8 for c in calls[1:])
+    assert 7 not in np.concatenate(calls[1:])
+    assert sum(c.size for c in calls) < len(calls) * 8
+    # Without take, refined panels are evaluated in full and sliced: the
+    # sums must not change by a single bit.
+    plain = _poles()
+    assert np.array_equal(integrate_segment(lambda zeta: plain(zeta), 0.95), got)
+
+
+def test_batch_columns_match_single_points():
+    dom, gamma, j, z0 = Sector(0.5), (0.1, 0.3 - 0.2j), 0, 0.95 * cmath.exp(1.1j)
+    eps = np.exp(2j * np.pi * np.arange(64) / 64)
+    batch = _q_eps(dom, gamma, j, z0, eps, None)
+    for e, q in zip(eps, batch):
+        want = q_point(dom, gamma, j, z0, e)
+        assert abs(q - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_non_finite_value_in_refined_panel_names_only_live_columns():
+    # zeta = 0.75 is a node of the panel [0.5, 1] but not of [0, 1].
+    # Column 0 is constant and converges on the first panel, so its
+    # NaN there is never evaluated (with take) or is sliced away
+    # (without); column 2 is still being refined and raises.
+    def f(zeta):
+        hole = np.where(zeta == 0.75, np.nan, 1.0)
+        return np.stack([hole, 1 / (1.001 - zeta), hole / (1.001 - zeta)], axis=1)
+
+    def taking(cols):
+        g = lambda zeta: f(zeta)[:, cols]
+        g.take = taking
+        return g
+
+    for integrand in (f, taking(slice(None))):
+        with pytest.raises(QuadratureError) as info:
+            integrate_segment(integrand, 1.0)
+        assert info.value.columns == (2,)
+        assert "column(s) [2]" in str(info.value)
