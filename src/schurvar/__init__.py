@@ -44,7 +44,6 @@ from .regions import (
     RegionResult,
     hausdorff,
     k_primitive,
-    polygon_contains,
     polygon_convexity,
     polygon_signed_distance,
     q_point,
@@ -106,7 +105,6 @@ __all__ = [
     "RegionResult",
     "hausdorff",
     "k_primitive",
-    "polygon_contains",
     "polygon_convexity",
     "polygon_signed_distance",
     "q_point",

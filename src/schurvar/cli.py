@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domains import DomainMap, DomainSpec, make_domain
+from .domains import DomainSpec, make_domain
 from .oracle import gronwall_curve, h_transform, membership_trial
 from .quadrature import QuadratureError
 from .regions import (
@@ -98,13 +98,6 @@ def parse_domain(text: str) -> DomainSpec:
                 )
             params[key] = parse_complex(val)
     return DomainSpec(kind=kind, params=params)
-
-
-def _build_domain(spec: DomainSpec) -> DomainMap:
-    try:
-        return make_domain(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _c2j(v: complex) -> list[float]:
@@ -262,7 +255,7 @@ def run(argv: Sequence[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _dispatch(ns)
-    except (argparse.ArgumentTypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, RuntimeError, ZeroDivisionError, OSError) as exc:
@@ -281,7 +274,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.command == "region":
-        domain = _build_domain(ns.domain)
+        domain = make_domain(ns.domain)
         req = RegionRequest(
             domain=domain,
             data=ns.data,
@@ -306,14 +299,14 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.command == "extremal":
-        domain = _build_domain(ns.domain)
+        domain = make_domain(ns.domain)
         coeffs = extremal_coefficients(domain, ns.gamma, ns.eps, ns.order)
         payload = {"coefficients": [_c2j(c) for c in coeffs]}
         _write_out(_json_dumps(payload) + "\n", None)
         return 0
 
     if ns.command == "compare-gronwall":
-        domain = _build_domain(DomainSpec("halfplane", {}))
+        domain = make_domain(DomainSpec("halfplane", {}))
         _, curve = gronwall_curve(ns.z0, ns.lam, ns.samples)
         req = RegionRequest(
             domain=domain,
@@ -331,7 +324,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.command == "membership":
-        domain = _build_domain(ns.domain)
+        domain = make_domain(ns.domain)
         report = membership_trial(
             domain, ns.gamma, ns.j, ns.z0, ns.trials, ns.seed
         )
@@ -344,7 +337,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.command == "h-check":
-        domain = _build_domain(ns.domain)
+        domain = make_domain(ns.domain)
         rng = np.random.default_rng(ns.seed)
         worst = 0.0
         for _ in range(ns.trials):

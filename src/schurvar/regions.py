@@ -17,7 +17,7 @@ an integral over the same segment [0, z0], so the whole trace is one
 batched quadrature: each G7/K15 panel evaluates all towers at once.
 
 The polygon helpers below (orientation-tolerant convexity check,
-inflated containment, symmetric Hausdorff distance against segments)
+signed distance, symmetric Hausdorff distance against segments)
 are the measuring instruments used by the test oracles.
 """
 
@@ -44,7 +44,6 @@ __all__ = [
     "region_compute",
     "polygon_convexity",
     "polygon_signed_distance",
-    "polygon_contains",
     "hausdorff",
 ]
 
@@ -342,11 +341,6 @@ def polygon_signed_distance(poly, w: complex | np.ndarray) -> float | np.ndarray
     area2 = float(np.sum(np.imag(np.conj(p) * np.roll(p, -1))))
     out = _boundary_distances(p, ws.reshape(-1), 1.0 if area2 >= 0 else -1.0)
     return float(out[0]) if ws.ndim == 0 else out.reshape(ws.shape)
-
-
-def polygon_contains(poly, w: complex, tol: float = 1e-6) -> bool:
-    """Containment with an inflation band: distance <= tol passes."""
-    return polygon_signed_distance(poly, w) <= tol
 
 
 def _boundary_distances(p: np.ndarray, ws: np.ndarray, orient: float = 0.0) -> np.ndarray:

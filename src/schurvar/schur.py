@@ -6,14 +6,21 @@ the Schur recursion produces parameters gamma = (gamma_0, ..., gamma_k)
 that decide whether the data lies in the interior, on the boundary, or
 outside the coefficient body:
 
-    c^{(0)} = c,   gamma_j = c^{(j)}_0,
-    c^{(j)}_p = ( c^{(j-1)}_{p+1}
-                  + conj(gamma_{j-1}) * sum_{l=1..p} c^{(j)}_{p-l} c^{(j-1)}_l )
-                / (1 - |gamma_{j-1}|^2 ).
+    omega_0 = omega,   gamma_j = omega_j(0),
+    omega_{j+1} = (omega_j - gamma_j) / (z (1 - conj(gamma_j) omega_j)).
 
-While |gamma_j| < 1 the recursion continues; |gamma_j| > 1 stops it
-(exterior); |gamma_j| = 1 freezes the remaining parameters to 0 or INF
-according to whether the remaining current-level coefficients vanish.
+Each step is a linear-fractional map (Schur 1917), so omega_j is kept
+as a quotient num/den of truncated series, starting from (c, 1):
+
+    gamma_j = num_0 / den_0,
+    num <- (num - gamma_j den) / z,   den <- den - conj(gamma_j) num,
+
+both cut to the coefficients the data still determines.  A level costs
+O(n) and divides only once.  While |gamma_j| < 1 the recursion
+continues; |gamma_j| > 1 stops it (exterior); |gamma_j| = 1, within an
+absolute band of 1e-12 that the a2/a3 bridge in ``variability`` shares,
+freezes the remaining parameters to 0 or INF according to whether the
+remaining Taylor coefficients of omega_j vanish.
 
 For interior parameters the extremal self-maps form a one-parameter
 family of nested Moebius towers
@@ -50,6 +57,10 @@ __all__ = [
     "tower_eval",
     "tower_taylor",
 ]
+
+# Half-width of the band around |gamma| = 1 read as exactly unimodular;
+# the a2/a3 bridge in variability tests |gamma1| against the same band.
+_TOL_UNIT = 1e-12
 
 
 class _SchurInfinity:
@@ -94,18 +105,13 @@ class SchurParameters:
     boundary_index: int | None = None
 
 
-def schur_parameters(
-    data: Sequence[complex], tol_unit: float = 1e-12
-) -> SchurParameters:
+def schur_parameters(data: Sequence[complex]) -> SchurParameters:
     """Run the Schur recursion on Caratheodory data.
 
     Parameters
     ----------
     data : sequence of complex
         (c_0, ..., c_n), length >= 1.
-    tol_unit : float
-        Half-width of the band around |gamma| = 1 treated as exactly
-        unimodular.  Must lie in [0, 1e-6].
 
     Returns
     -------
@@ -115,44 +121,44 @@ def schur_parameters(
         Exterior: either a parameter with modulus > 1 (recursion stops
         there, trailing data is irrelevant) or a unimodular parameter
         followed by a tail containing INF.
+
+    Each level updates the pair (num, den) of omega_j = num/den in
+    O(n); only a unimodular stop divides out the remaining coefficients
+    of omega_j, by forward substitution.  Data exact in binary stay
+    exact through the levels, so their boundary tails are exactly zero.
     """
     if len(data) == 0:
         raise ValueError("data must contain at least c_0")
-    if not 0 <= tol_unit <= 1e-6:
-        raise ValueError("tol_unit must lie in [0, 1e-6]")
-    cur = [complex(v) for v in data]
-    n = len(cur) - 1
+    num = [complex(v) for v in data]
+    den = [1 + 0j] + [0j] * (len(num) - 1)
     gamma: list = []
-    j = 0
     while True:
-        g = cur[0]
+        g = num[0] / den[0]
+        gamma.append(g)
         mod = abs(g)
-        if mod > 1 + tol_unit:
-            gamma.append(g)
+        if mod > 1 + _TOL_UNIT:
             return SchurParameters(tuple(gamma), Classification.EXTERIOR)
-        if abs(mod - 1) <= tol_unit:
-            gamma.append(g)
-            tail = cur[1:]
-            gamma.extend(INF if v != 0 else 0j for v in tail)
+        if abs(mod - 1) <= _TOL_UNIT:
+            tail: list[complex] = []
+            for a, b in zip(num[1:], den[1:]):
+                shifted = sum(d * t for d, t in zip(den[1:], reversed(tail)))
+                tail.append((a - g * b - shifted) / den[0])
             cls = (
                 Classification.BOUNDARY
                 if all(v == 0 for v in tail)
                 else Classification.EXTERIOR
             )
-            return SchurParameters(tuple(gamma), cls, boundary_index=j)
-        gamma.append(g)
-        if j == n:
+            index = len(gamma) - 1
+            gamma.extend(INF if v != 0 else 0j for v in tail)
+            return SchurParameters(tuple(gamma), cls, boundary_index=index)
+        if len(num) == 1:
             return SchurParameters(tuple(gamma), Classification.INTERIOR)
-        denom = 1 - mod * mod
         gc = g.conjugate()
-        nxt = [cur[1] / denom]
-        for p in range(1, n - j):
-            acc = 0j
-            for l in range(1, p + 1):
-                acc += nxt[p - l] * cur[l]
-            nxt.append((cur[p + 1] + gc * acc) / denom)
-        cur = nxt
-        j += 1
+        rest, low = [], []
+        for a, b in zip(num, den):
+            rest.append(a - g * b)
+            low.append(b - gc * a)
+        num, den = rest[1:], low[:-1]
 
 
 def toeplitz_membership(
@@ -227,12 +233,11 @@ class BlaschkeTower:
     gamma entries must have modulus < 1 (finite interior parameters),
     |eps| <= 1.  omega(0) equals gamma[0], and the first len(gamma)
     Taylor coefficients reproduce the Caratheodory data of gamma for
-    every admissible eps.  An array ``epsilon`` holds one leaf per
-    tower for tower_eval; tower_taylor needs a single leaf.
+    every admissible eps.
     """
 
     gamma: tuple[complex, ...]
-    epsilon: complex | np.ndarray
+    epsilon: complex
 
     def __post_init__(self) -> None:
         if len(self.gamma) == 0:
@@ -240,30 +245,17 @@ class BlaschkeTower:
         g = tuple(complex(v) for v in self.gamma)
         if any(abs(v) >= 1 for v in g):
             raise ValueError("tower parameters must have modulus < 1")
-        e = self.epsilon
-        e = complex(e) if np.ndim(e) == 0 else np.asarray(e, dtype=complex)
-        if np.any(np.abs(e) > 1 + 1e-12):
+        e = complex(self.epsilon)
+        if abs(e) > 1 + 1e-12:
             raise ValueError("leaf parameter must satisfy |eps| <= 1")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "epsilon", e)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BlaschkeTower):
-            return NotImplemented
-        return self.gamma == other.gamma and np.array_equal(self.epsilon, other.epsilon)
-
-    def __hash__(self) -> int:
-        return hash((self.gamma, tuple(np.ravel(self.epsilon).tolist())))
 
 
 def tower_eval(
     tower: BlaschkeTower, z: complex | np.ndarray
 ) -> complex | np.ndarray:
-    """Evaluate the tower at a point, or on an array, of the closed disk.
-
-    Array leaves broadcast against ``z``: leaves of shape (m,) and
-    points of shape (n, 1) give the (n, m) values of m towers.
-    """
+    """Evaluate the tower at a point, or on an array, of the closed disk."""
     return _climb(tower.gamma, z, tower.epsilon * z)
 
 
@@ -283,12 +275,10 @@ def tower_taylor(tower: BlaschkeTower, order: int) -> ComplexSeries:
 
     Each level applies the Moebius map of its parameter to the series
     below (one reciprocal and one product) and multiplies by z; the
-    root level applies it without the z factor.  Needs a single leaf.
+    root level applies it without the z factor.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if np.ndim(tower.epsilon) != 0:
-        raise ValueError("tower_taylor needs one leaf, not an array of leaves")
     work = max(order, 1)
     z = ComplexSeries.identity(work)
     s = ComplexSeries.constant(tower.epsilon, work) * z

@@ -40,7 +40,7 @@ from .regions import (  # noqa: F401
     region_compute,
 )
 # bench/tracing.py patches tower_taylor and series_compose by name here.
-from .schur import INF, BlaschkeTower, tower_taylor
+from .schur import _TOL_UNIT, INF, BlaschkeTower, tower_taylor
 from .series import ComplexSeries, series_compose, series_exp
 
 __all__ = [
@@ -54,8 +54,6 @@ __all__ = [
     "extremal_f_eval",
     "extremal_coefficients",
 ]
-
-_TOL_UNIT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,8 @@ def gamma_from_a2a3(
 ) -> GammaPair:
     """Bridge (a2, a3) = (lam, mu) to Schur parameters (gamma1, gamma2).
 
-    On the circle |gamma1| = 1 (within 1e-12) the pair degenerates:
+    On the circle |gamma1| = 1 (within the band schur_parameters reads
+    as unimodular, 1e-12) the pair degenerates:
     gamma2 is 0 when 3 alpha1^2 mu equals 2 (alpha1^2 + alpha2) lam^2
     (single attainable function) and INF otherwise (no function at
     all).  The equality is tested to relative accuracy 1e-12 since both

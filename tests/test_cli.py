@@ -2,8 +2,10 @@
 
 import argparse
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,30 @@ def test_parse_complex_rejects(text):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def _readme_examples():
+    """(command, output) of every README example whose full output is shown."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    return [
+        (cmd[len("$ schurvar "):], out)
+        for cmd, out in zip(lines, lines[1:])
+        if cmd.startswith("$ schurvar ") and not cmd.endswith("\\") and out and "..." not in out
+    ]
+
+
+@pytest.mark.parametrize("example", _readme_examples(), ids=lambda e: e[0].split()[0])
+def test_readme_example_output_is_current(capsys, example):
+    command, output = example
+    code, out, _ = capture(capsys, shlex.split(command))
+    assert code == 0
+    assert out == output + "\n"
+
+
+def test_readme_examples_found():
+    assert [c.split()[0] for c, _ in _readme_examples()] == [
+        "schur", "extremal", "compare-gronwall", "membership", "h-check",
+    ]
 
 
 @given(finite, finite)

@@ -22,7 +22,6 @@ from schurvar import (
     hausdorff,
     integrate_segment,
     k_primitive,
-    polygon_contains,
     polygon_convexity,
     polygon_signed_distance,
     q_point,
@@ -248,23 +247,18 @@ def test_polygon_signed_distance_regular():
     assert abs(polygon_signed_distance(poly, 2.0 + 0j) - 1.0) <= 1e-9
     # On a vertex.
     assert abs(polygon_signed_distance(poly, -1.0 + 0j)) <= 1e-12
+    # Along an edge-midpoint ray the boundary sits at the apothem, so a
+    # probe at apothem + delta lies delta outside.
+    ray = cmath.exp(1j * math.pi / 64)
+    apothem = math.cos(math.pi / 64)
+    for delta in (0.5e-6, 2e-6, -0.5e-6):
+        assert abs(polygon_signed_distance(poly, (apothem + delta) * ray) - delta) <= 1e-12
 
 
 def test_polygon_signed_distance_orientation_free():
     pts = regular_polygon(16)
     assert polygon_signed_distance(_wrap(pts), 0j) < 0
     assert polygon_signed_distance(_wrap(pts[::-1]), 0j) < 0
-
-
-def test_polygon_contains_tolerance():
-    poly = _wrap(regular_polygon(64))
-    # Probe along an edge-midpoint ray, where the boundary sits at the
-    # apothem; vertex rays reach out to the full circumradius.
-    ray = cmath.exp(1j * math.pi / 64)
-    apothem = math.cos(math.pi / 64)
-    assert polygon_contains(poly, 0j)
-    assert polygon_contains(poly, (apothem + 0.5e-6) * ray, tol=1e-6)
-    assert not polygon_contains(poly, (apothem + 2e-6) * ray, tol=1e-6)
 
 
 def test_hausdorff_translation_and_symmetry():

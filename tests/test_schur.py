@@ -62,6 +62,26 @@ def test_exterior_mixed_tail():
     assert sp.boundary_index == 0
 
 
+def test_exterior_tail_after_a_deeper_stop():
+    # omega = s_a(z omega_1) with a = (1 + i)/2 and omega_1 = 1 + z/4 + z^2/2.
+    # Every coefficient and every level is exact in binary, so the stop at
+    # gamma_1 = 1 sees the vanishing z^3 coefficient of omega_1 as zero.
+    data = (0.5 + 0.5j, 0.5, -0.125 + 0.25j, 0.125 - 0.125j, -0.140625 + 0.203125j)
+    sp = schur_parameters(data)
+    assert sp.classification is Classification.EXTERIOR
+    assert sp.gamma == (0.5 + 0.5j, 1 + 0j, INF, INF, 0j)
+    assert sp.boundary_index == 1
+
+
+def test_unimodular_band_is_absolute_1e_12():
+    for excess in (5e-13, -5e-13):
+        assert schur_parameters((1 + excess, 0)).classification is Classification.BOUNDARY
+    sp = schur_parameters((1 + 5e-12, 0))
+    assert sp.classification is Classification.EXTERIOR
+    assert sp.boundary_index is None
+    assert schur_parameters((1 - 5e-12, 0)).classification is Classification.INTERIOR
+
+
 def test_modulus_above_one_stops_immediately():
     sp = schur_parameters((1.5,))
     assert sp.classification is Classification.EXTERIOR
@@ -79,11 +99,7 @@ def test_inf_sentinel_repr():
     assert repr(INF) == "INF"
 
 
-def test_tol_unit_validation():
-    with pytest.raises(ValueError):
-        schur_parameters((0.5,), tol_unit=-1e-9)
-    with pytest.raises(ValueError):
-        schur_parameters((0.5,), tol_unit=1e-3)
+def test_empty_data_rejected():
     with pytest.raises(ValueError):
         schur_parameters(())
 
@@ -180,6 +196,15 @@ def test_mobius_involution(a, z):
     assert abs(mobius_eval(-a, mobius_eval(a, z)) - z) <= 1e-13
 
 
+@given(st.lists(closed, min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_recursion_never_yields_non_finite_gamma(data):
+    # The linear-fractional levels never renormalize: den_0 shrinks by
+    # 1 - |gamma|^2 per level, and still no gamma may come out non-finite.
+    sp = schur_parameters(data)
+    assert all(cmath.isfinite(g) for g in sp.gamma if g is not INF)
+
+
 def test_mobius_series_matches_eval():
     a = 0.3 - 0.2j
     s = mobius_series(a, 16)
@@ -247,19 +272,12 @@ def test_tower_coefficients_bounded_by_one():
 
 
 
-def test_tower_equality_and_hash_with_array_leaf():
-    a = BlaschkeTower((0.3, 0.1j), np.array([1, 1j]))
-    b = BlaschkeTower((0.3, 0.1j), np.array([1, 1j]))
-    c = BlaschkeTower((0.3, 0.1j), np.array([1, -1j]))
-    assert a == b and hash(a) == hash(b)
-    assert a != c
-    assert a != BlaschkeTower((0.3, 0.1j), 1.0)
-    assert a != BlaschkeTower((0.3, 0.2j), np.array([1, 1j]))
-    assert len({a, b, c}) == 2
+def test_tower_equality_and_hash():
     assert BlaschkeTower((0.3,), 0.5) == BlaschkeTower((0.3 + 0j,), 0.5 + 0j)
     assert hash(BlaschkeTower((0.3,), 0.5)) == hash(BlaschkeTower((0.3 + 0j,), 0.5 + 0j))
+    assert BlaschkeTower((0.3,), 0.5) != BlaschkeTower((0.3,), 0.5j)
 
 
-def test_tower_taylor_rejects_array_leaf():
-    with pytest.raises(ValueError, match="one leaf"):
-        tower_taylor(BlaschkeTower((0.3,), np.array([1, 1j])), 8)
+def test_tower_rejects_array_leaf():
+    with pytest.raises(TypeError):
+        BlaschkeTower((0.3,), np.array([1, 1j]))

@@ -31,6 +31,7 @@ from schurvar import (
     polygon_signed_distance,
     q_point,
     region_compute,
+    schur_parameters,
 )
 
 HP = HalfPlane()
@@ -72,6 +73,14 @@ def test_gamma_from_a2a3_unimodular_collapse():
     # Same modulus, incompatible a3: nothing is attainable.
     pair = gamma_from_a2a3(1.0, 4 / 3, HP)
     assert pair.gamma2 is INF
+
+
+@pytest.mark.parametrize("excess", [0.0, 5e-13, -5e-13, 5e-12, -5e-12])
+def test_bridge_and_recursion_share_the_unimodular_band(excess):
+    # The bridge collapses gamma2 exactly when the recursion stops at gamma1.
+    pair = gamma_from_a2a3((1 + excess) * HP.alpha1 / 2, 0.3, HP)
+    stops = schur_parameters((0j, pair.gamma1)).boundary_index == 1
+    assert stops == (pair.gamma2 is INF) == (abs(excess) < 1e-12)
 
 
 def test_cv_region_unconstrained_traces_k():
