@@ -247,12 +247,20 @@ def test_polygon_signed_distance_regular():
     assert abs(polygon_signed_distance(poly, 2.0 + 0j) - 1.0) <= 1e-9
     # On a vertex.
     assert abs(polygon_signed_distance(poly, -1.0 + 0j)) <= 1e-12
-    # Along an edge-midpoint ray the boundary sits at the apothem, so a
-    # probe at apothem + delta lies delta outside.
+
+
+def test_polygon_contains_tolerance():
+    poly = _wrap(regular_polygon(64))
+    # Containment within tol is a signed distance <= tol. Along an
+    # edge-midpoint ray the boundary sits at the apothem, so a probe at
+    # apothem + delta lies delta outside; vertex rays reach out to the
+    # full circumradius.
     ray = cmath.exp(1j * math.pi / 64)
     apothem = math.cos(math.pi / 64)
     for delta in (0.5e-6, 2e-6, -0.5e-6):
         assert abs(polygon_signed_distance(poly, (apothem + delta) * ray) - delta) <= 1e-12
+    assert polygon_signed_distance(poly, (apothem + 0.5e-6) * ray) <= 1e-6
+    assert polygon_signed_distance(poly, (apothem + 2e-6) * ray) > 1e-6
 
 
 def test_polygon_signed_distance_orientation_free():
