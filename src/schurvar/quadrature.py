@@ -2,21 +2,30 @@
 
 Integrals here are always of the form  int_0^{z_end} f(zeta) d(zeta)
 taken along the straight segment, parametrized as zeta(t) = t*z_end for
-t in [0, 1].  Each panel is a Gauss-Kronrod (G7, K15) pair; the panel
-error estimate is |K15 - G7| and panels failing their share of the
+t in [0, 1].  Each panel is a Gauss-Kronrod pair; the panel error
+estimate is |K - G| of that pair and panels failing their share of the
 budget are bisected.  All nodes are interior, so integrands with a
 removable singularity at the origin (the 1/zeta weight against a
 vanishing numerator) are evaluated safely without special-casing.
 
-The integrand is called once per panel on its 15 nodes.  A vector
-integrand returns one column per integral, and acceptance is per
-column, as QUADPACK applies its local test to each integral on its own:
-a column that meets its share of the budget on a panel keeps that
-panel, and only the columns still short are evaluated on the two
-halves.  An integrand may carry ``take(cols)``, returning the integrand
-restricted to those (global) column indices, so that refined panels
-compute only those columns; without it the full integrand is evaluated
-and sliced.  A column's sums are bit-identical on both routes.
+The pair is chosen once per call from the budget.  Below 1e-10 (the
+default 1e-12 and anything tighter) it is G15/K31: on a panel whose
+integrand is analytic inside the Bernstein ellipse of parameter rho,
+|K31 - G15| is about rho^-30 against rho^-14 for |K15 - G7|, so a
+smooth integrand meets a tight budget with far fewer bisections.
+Looser budgets such as 1e-9 are mostly met by a first K15 panel
+already and keep G7/K15, the cheaper rule there.
+
+The integrand is called once per panel on the k nodes of the rule
+(k = 31 or 15).  A vector integrand returns one column per integral,
+and acceptance is per column, as QUADPACK applies its local test to
+each integral on its own: a column that meets its share of the budget
+on a panel keeps that panel, and only the columns still short are
+evaluated on the two halves.  An integrand may carry ``take(cols)``,
+returning the integrand restricted to those (global) column indices,
+so that refined panels compute only those columns; without it the full
+integrand is evaluated and sliced.  A column's sums are bit-identical
+on both routes.
 """
 
 from __future__ import annotations
@@ -28,9 +37,11 @@ import numpy as np
 
 __all__ = ["QuadratureConfig", "QuadratureError", "integrate_segment"]
 
-# 15-point Kronrod abscissae (positive half, descending; last entry is 0)
-# and weights, with the embedded 7-point Gauss weights.  Standard values.
-_XGK = (
+# Each Gauss-Kronrod pair is given by its non-negative Kronrod abscissae
+# (descending; the last is 0), their Kronrod weights, and the Gauss
+# weights of the odd-indexed abscissae x_1, x_3, ..., 0.  Standard
+# values (QUADPACK qk15 and qk31).
+_XGK15 = (
     0.9914553711208126,
     0.9491079123427585,
     0.8648644233597691,
@@ -40,7 +51,7 @@ _XGK = (
     0.20778495500789847,
     0.0,
 )
-_WGK = (
+_WGK15 = (
     0.022935322010529224,
     0.06309209262997855,
     0.10479001032225018,
@@ -50,19 +61,75 @@ _WGK = (
     0.2044329400752989,
     0.20948214108472783,
 )
-# Gauss weights for the odd-indexed abscissae above (x_1, x_3, x_5) and 0.
-_WG = (
+_WG7 = (
     0.1294849661688697,
     0.2797053914892767,
     0.3818300505051189,
     0.41795918367346936,
 )
-# The whole rule on [-1, 1]: nodes, K15 weights and K15 - G7 weights
-# (the Gauss nodes sit at the odd positions).
-_X = np.concatenate([np.negative(_XGK), _XGK[-2::-1]])
-_WK = np.concatenate([_WGK, _WGK[-2::-1]])
-_WD = _WK.copy()
-_WD[1::2] -= _WG + _WG[-2::-1]
+_XGK31 = (
+    0.9980022986933971,
+    0.9879925180204854,
+    0.9677390756791391,
+    0.937273392400706,
+    0.8972645323440819,
+    0.8482065834104272,
+    0.790418501442466,
+    0.7244177313601701,
+    0.650996741297417,
+    0.5709721726085388,
+    0.4850818636402397,
+    0.3941513470775634,
+    0.29918000715316884,
+    0.20119409399743451,
+    0.1011420669187175,
+    0.0,
+)
+_WGK31 = (
+    0.005377479872923349,
+    0.015007947329316122,
+    0.02546084732671532,
+    0.03534636079137585,
+    0.04458975132476488,
+    0.05348152469092809,
+    0.06200956780067064,
+    0.06985412131872826,
+    0.07684968075772038,
+    0.08308050282313302,
+    0.08856444305621176,
+    0.09312659817082532,
+    0.09664272698362368,
+    0.09917359872179196,
+    0.10076984552387559,
+    0.10133000701479154,
+)
+_WG15 = (
+    0.03075324199611727,
+    0.07036604748810812,
+    0.10715922046717194,
+    0.13957067792615432,
+    0.16626920581699392,
+    0.1861610000155622,
+    0.19843148532711158,
+    0.2025782419255613,
+)
+
+
+def _rule(xgk, wgk, wg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The whole rule on [-1, 1]: nodes, Kronrod weights and Kronrod
+    minus Gauss weights (the Gauss nodes sit at the odd positions)."""
+    x = np.concatenate([np.negative(xgk), xgk[-2::-1]])
+    wk = np.concatenate([wgk, wgk[-2::-1]])
+    wd = wk.copy()
+    wd[1::2] -= wg + wg[-2::-1]
+    return x, wk, wd
+
+
+_G7K15 = _rule(_XGK15, _WGK15, _WG7)
+_G15K31 = _rule(_XGK31, _WGK31, _WG15)
+
+# Budgets below this use G15/K31, the others G7/K15.
+_K31_BELOW = 1e-10
 
 
 @dataclass(frozen=True)
@@ -121,12 +188,16 @@ def integrate_segment(
     must be analytic on a neighborhood of the segment (a removable
     singularity at 0 is fine: no node touches an endpoint).
 
+    The panel rule is G15/K31 when min(abs_tol, rel_tol) < 1e-10 and
+    G7/K15 otherwise; the error estimate is |K - G| of the pair in use.
+
     Parameters
     ----------
     integrand : callable
-        Called with the panel's 15 nodes, a complex array of shape
-        (15,).  Returning shape (15,) gives a complex result (one
-        column); shape (15, m) gives the (m,) array of m integrals.
+        Called with the panel's k nodes, a complex array of shape
+        (k,), where k is 31 under G15/K31 and 15 under G7/K15.
+        Returning shape (k,) gives a complex result (one column);
+        shape (k, m) gives the (m,) array of m integrals.
         An optional attribute ``take(cols)`` returns the integrand
         restricted to the global column indices ``cols`` (an integer
         array), whose values must equal the sliced full output; a panel
@@ -151,14 +222,17 @@ def integrate_segment(
     if z_end == 0:
         return 0j
 
+    x, wk, wd = _G15K31 if min(cfg.abs_tol, cfg.rel_tol) < _K31_BELOW else _G7K15
+
     def nodes(a: float, b: float) -> np.ndarray:
-        return (0.5 * (a + b) + 0.5 * (b - a) * _X) * z_end
+        return (0.5 * (a + b) + 0.5 * (b - a) * x) * z_end
 
     def rule(a: float, b: float, cols: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
-        """K15 values and |K15 - G7| on [a, b] from the values f of columns cols."""
+        """Kronrod values and |Kronrod - Gauss| on [a, b] from the values f
+        of columns cols."""
         # A contiguous copy makes the BLAS sums of a sliced column equal
         # to those of a freshly computed one.
-        f = np.ascontiguousarray(f).reshape(15, -1)
+        f = np.ascontiguousarray(f).reshape(len(x), -1)
         finite = np.isfinite(f).all(axis=0)
         if not finite.all():
             bad = tuple(cols[~finite].tolist())
@@ -169,7 +243,7 @@ def integrate_segment(
                 bad,
             )
         h = 0.5 * (b - a)
-        return h * (_WK @ f), h * np.abs(_WD @ f)
+        return h * (wk @ f), h * np.abs(wd @ f)
 
     take = getattr(integrand, "take", None)
 
@@ -181,11 +255,11 @@ def integrate_segment(
             return rule(a, b, cols, integrand(zeta))
         if take is not None:
             return rule(a, b, cols, take(cols)(zeta))
-        return rule(a, b, cols, np.asarray(integrand(zeta)).reshape(15, -1)[:, cols])
+        return rule(a, b, cols, np.asarray(integrand(zeta)).reshape(len(x), -1)[:, cols])
 
     f = np.asarray(integrand(nodes(0.0, 1.0)))
     scalar = f.ndim == 1
-    cols = np.arange(f.size // 15)
+    cols = np.arange(f.size // len(x))
     first, err0 = rule(0.0, 1.0, cols, f)
     scale = abs(z_end)
     # Error budget in t-space per column, shared by panels in

@@ -14,7 +14,8 @@ data the region is empty.  region_compute dispatches on the
 classification and returns the matching variant, tracing the boundary
 on the grid theta_m = -pi + 2 pi m / samples.  Every boundary point is
 an integral over the same segment [0, z0], so the whole trace is one
-batched quadrature: each G7/K15 panel evaluates all towers at once.
+batched quadrature: each Gauss-Kronrod panel (G15/K31 at the default
+budget) evaluates all towers at once.
 
 The polygon helpers below (orientation-tolerant convexity check,
 signed distance, symmetric Hausdorff distance against segments)
@@ -71,15 +72,16 @@ def _q(
 ) -> np.ndarray:
     """Q_{gamma,j}(z0, .) for the towers over the leaf self-maps ``leaf``.
 
-    The one integral kernel: ``leaf(zeta, cols)`` maps the (15, 1) panel
-    nodes to one column of leaf values per tower in ``cols`` (a slice
-    or an index array; eps[cols] zeta for a trace, zeta B(zeta) of the
-    trials cols for membership), and every panel climbs those towers in
-    one array pass.  The integrand's ``take`` restricts it to ``cols``,
-    so a panel refined for the columns still short of their budget
-    climbs only those towers.  Inputs are checked before the first
-    panel; a quadrature failure names z0, j, the domain and, via
-    ``names``, the columns.
+    The one integral kernel: ``leaf(zeta, cols)`` maps the (k, 1) panel
+    nodes (k = 31 or 15, by the budget's quadrature rule) to one column
+    of leaf values per tower in ``cols`` (a slice or an index array;
+    eps[cols] zeta for a trace, zeta B(zeta) of the trials cols for
+    membership), and every panel climbs those towers in one array pass.
+    The integrand's ``take`` restricts it to ``cols``, so a panel
+    refined for the columns still short of their budget climbs only
+    those towers.  Inputs are checked before the first panel; a
+    quadrature failure names z0, j, the domain and, via ``names``, the
+    columns.
     """
     if j < -1:
         raise ValueError("weight exponent must satisfy j >= -1")

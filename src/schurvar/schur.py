@@ -168,14 +168,17 @@ def toeplitz_membership(
 
     The data lies in the coefficient body iff the (n+1)x(n+1)
     lower-triangular Toeplitz matrix T with first column c is a
-    contraction.  The spectral norm of T is its largest singular value
-    (an SVD contraction test), compared with 1 using the given margin:
-    below 1 - margin is interior, above 1 + margin is exterior, the band
-    in between reports boundary.
+    contraction.  Its spectral norm is compared with 1 using the given
+    margin, without computing it: the norm is below 1 - margin iff
+    (1 - margin)^2 I - T^H T is positive definite (interior), and above
+    1 + margin iff (1 + margin)^2 I - T^H T is not (exterior); a
+    Cholesky factorization decides each.  The band in between reports
+    boundary.
 
     Parameters
     ----------
     data : sequence of complex
+        Must be finite.
     margin : float
         Must lie in (0, 1e-3).
     """
@@ -184,14 +187,24 @@ def toeplitz_membership(
     if not 0 < margin < 1e-3:
         raise ValueError("margin must lie in (0, 1e-3)")
     c = np.asarray([complex(v) for v in data])
+    if not np.isfinite(c).all():
+        raise ValueError("data must be finite")
     n = len(c)
-    t = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        t[i:, i] = c[: n - i]
-    norm = float(np.linalg.norm(t, 2))
-    if norm < 1 - margin:
+    # T[i, k] = c[i - k]; a negative index i - k lands in the zero tail.
+    t = np.concatenate([c, np.zeros(n - 1)])[np.subtract.outer(np.arange(n), np.arange(n))]
+    gram = t.conj().T @ t
+    eye = np.eye(n)
+
+    def positive_definite(radius: float) -> bool:
+        try:
+            np.linalg.cholesky(radius**2 * eye - gram)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    if positive_definite(1 - margin):
         return Classification.INTERIOR
-    if norm > 1 + margin:
+    if not positive_definite(1 + margin):
         return Classification.EXTERIOR
     return Classification.BOUNDARY
 

@@ -6,7 +6,59 @@ import numpy as np
 import pytest
 
 from schurvar import QuadratureConfig, QuadratureError, Sector, integrate_segment, q_point
+from schurvar.quadrature import _G7K15, _G15K31
 from schurvar.regions import _q_eps
+
+# (rule, Gauss order, degree of exactness of the Kronrod weights)
+RULES = [(_G7K15, 7, 22), (_G15K31, 15, 46)]
+
+
+@pytest.mark.parametrize("rule, n, degree", RULES, ids=["G7K15", "G15K31"])
+def test_gauss_nodes_and_weights_match_numpy(rule, n, degree):
+    x, wk, wd = rule
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x[1::2] - gx)) <= 1e-15
+    assert np.max(np.abs((wk - wd)[1::2] - gw)) <= 1e-15
+    # The Kronrod-only nodes carry no Gauss weight.
+    assert np.array_equal(wk[::2], wd[::2])
+
+
+@pytest.mark.parametrize("rule, n, degree", RULES, ids=["G7K15", "G15K31"])
+def test_kronrod_weights_integrate_monomials_exactly(rule, n, degree):
+    x, wk, _ = rule
+    assert x.shape == (2 * n + 1,)
+    for k in range(degree + 1):
+        want = 0.0 if k % 2 else 2 / (k + 1)
+        assert abs(wk @ x**k - want) <= 1e-15, k
+
+
+@pytest.mark.parametrize("rule, n, degree", RULES, ids=["G7K15", "G15K31"])
+def test_rule_is_symmetric_with_positive_weights(rule, n, degree):
+    x, wk, wd = rule
+    assert np.all(np.diff(x) > 0) and x[n] == 0.0
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(wk, wk[::-1]) and np.array_equal(wd, wd[::-1])
+    assert np.all(wk > 0) and np.all((wk - wd)[1::2] > 0)
+    assert abs(wd.sum()) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "cfg, k",
+    [(None, 31), (QuadratureConfig(1e-13, 1e-13), 31), (QuadratureConfig(1e-9, 1e-9), 15)],
+    ids=["default", "1e-13", "1e-9"],
+)
+def test_budget_chooses_the_rule(cfg, k):
+    shapes = []
+
+    def spy(zeta):
+        shapes.append(zeta.shape)
+        return 1 / (0.96 - zeta)
+
+    # The pole near the endpoint forces refined panels: they use the
+    # first panel's rule too.
+    got = integrate_segment(spy, 0.95, cfg)
+    assert abs(got + cmath.log(1 - 0.95 / 0.96)) <= 1e-8
+    assert len(shapes) > 1 and set(shapes) == {(k,)}
 
 
 def test_monomials_integrate_exactly():
@@ -164,11 +216,15 @@ def _poles(cols=slice(None), calls=None):
     return f
 
 
-def test_refined_panels_evaluate_only_short_columns():
+@pytest.mark.parametrize(
+    "cfg", [QuadratureConfig(1e-9, 1e-9), QuadratureConfig()], ids=["G7K15", "G15K31"]
+)
+def test_refined_panels_evaluate_only_short_columns(cfg):
     calls = []
-    got = integrate_segment(_poles(calls=calls), 0.95)
+    got = integrate_segment(_poles(calls=calls), 0.95, cfg)
     poles = 0.96 + 0.5 * np.arange(8) ** 2
-    assert np.max(np.abs(got + np.log(1 - 0.95 / poles))) <= 1e-12 * np.max(np.abs(got))
+    err = np.max(np.abs(got + np.log(1 - 0.95 / poles)))
+    assert err <= cfg.rel_tol * np.max(np.abs(got))
     # The first panel takes every column; the farthest pole meets its
     # budget there and is never evaluated again, and no refined panel
     # evaluates every column.
@@ -179,7 +235,7 @@ def test_refined_panels_evaluate_only_short_columns():
     # Without take, refined panels are evaluated in full and sliced: the
     # sums must not change by a single bit.
     plain = _poles()
-    assert np.array_equal(integrate_segment(lambda zeta: plain(zeta), 0.95), got)
+    assert np.array_equal(integrate_segment(lambda zeta: plain(zeta), 0.95, cfg), got)
 
 
 def test_batch_columns_match_single_points():

@@ -168,6 +168,30 @@ def test_toeplitz_against_numpy_svd():
         assert toeplitz_membership(tuple(c), margin=margin) is want
 
 
+def test_toeplitz_against_numpy_svd_long_data():
+    # Data up to the algebra workload's n = 33, scaled so the norm lands
+    # a few margins either side of 1.
+    def sigma_max(c):
+        k = np.arange(len(c))
+        return np.linalg.svd(np.tril(c[np.subtract.outer(k, k)]), compute_uv=False)[0]
+
+    rng = np.random.default_rng(23)
+    margin = 1e-6
+    for _ in range(60):
+        n = int(rng.integers(6, 34))
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = c / sigma_max(c) * (1 + margin * rng.choice([-3.0, -1.5, 1.5, 3.0]))
+        norm = sigma_max(c)
+        want = Classification.INTERIOR if norm < 1 else Classification.EXTERIOR
+        assert toeplitz_membership(tuple(c), margin=margin) is want
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_toeplitz_rejects_non_finite_data(bad):
+    with pytest.raises(ValueError):
+        toeplitz_membership((0.5, bad))
+
+
 def test_mobius_fixed_points_and_values():
     assert mobius_eval(0.5, 0) == 0.5
     assert abs(mobius_eval(0.5, -0.5)) <= 1e-15
