@@ -14,8 +14,9 @@ The curve and H stay independent: neither climbs a tower nor calls the
 region kernel, so they check that path from outside.  Membership checks
 a different claim (functions that are not extremal land inside the
 region), so it shares the kernel on purpose, with Blaschke leaves in
-place of the extremal ones.  All leaves are drawn first, each trial
-from its own seeded streams; one kernel call integrates every trial.
+place of the extremal ones.  All leaves of a case are drawn first, from
+one seeded stream in which row t (fixed by the seed and t) belongs to
+trial t; one kernel call integrates every trial.
 """
 
 from __future__ import annotations
@@ -140,17 +141,26 @@ class AdmissibleSampler:
             raise ValueError("blaschke_degree must be >= 0")
 
 
-def _draw_leaf(stream: int, degree: int) -> tuple[complex, np.ndarray]:
-    """Phase and zeros of one random Blaschke leaf, from its own stream.
+def _leaf_draws(
+    seed: int, trials: int, degrees: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phases, zeros and used factors of ``trials`` random Blaschke leaves.
 
-    One call for 1 + 2 degree uniforms u: phi = 2 pi u_0, and zero k is
-    0.9 sqrt(u_{2k+1}) e^{2 pi i u_{2k+2}} (uniform on |a| <= 0.9 by
-    sqrt-radius sampling).
+    One stream per call: row t of a (trials, 2 + 2 max(degrees)) block
+    of uniforms u draws leaf t.  u_0 picks the degree
+    degrees[floor(u_0 len(degrees))], u_1 the phase e^{2 pi i u_1}, and
+    zero k is 0.9 sqrt(u_{2k+2}) e^{2 pi i u_{2k+3}} (uniform on
+    |a| <= 0.9 by sqrt-radius sampling).  Row t depends only on (seed,
+    t, max(degrees)), so a shorter run draws a prefix of a longer one.
+    Zeros and used flags have one row per factor, shape (max(degrees),
+    trials), as _blaschke_leaf takes them.
     """
-    u = np.random.default_rng(stream).random(1 + 2 * degree)
-    phase = cmath.exp(2j * math.pi * float(u[0]))
-    zeros = 0.9 * np.sqrt(u[1::2]) * np.exp(1j * (2 * np.pi * u[2::2]))
-    return phase, zeros
+    u = np.random.default_rng(seed).random((trials, 2 + 2 * max(degrees)))
+    picks = np.asarray(degrees)[(u[:, 0] * len(degrees)).astype(int)]
+    phase = np.exp(2j * np.pi * u[:, 1])
+    zeros = 0.9 * np.sqrt(u[:, 2::2]) * np.exp(2j * np.pi * u[:, 3::2])
+    used = np.arange(zeros.shape[1]) < picks[:, None]
+    return phase, zeros.T, used.T
 
 
 def _blaschke_leaf(
@@ -181,9 +191,10 @@ def sample_admissible(
     undetermined higher coefficients are randomized by the leaf.  It
     takes a point or an array of points.
     """
-    phase, zeros = _draw_leaf(sampler.seed, sampler.blaschke_degree)
-    used = np.ones(len(zeros), dtype=bool)
-    return lambda z: domain.eval(_climb(sampler.gamma, z, _blaschke_leaf(phase, zeros, used, z)))
+    phase, zeros, used = _leaf_draws(sampler.seed, 1, (sampler.blaschke_degree,))
+    return lambda z: domain.eval(
+        _climb(sampler.gamma, z, _blaschke_leaf(phase[0], zeros[:, 0], used[:, 0], z))
+    )
 
 
 @dataclass(frozen=True)
@@ -210,11 +221,12 @@ def membership_trial(
 ) -> MembershipReport:
     """Random admissible integrals against the traced polygon.
 
-    Each trial draws a Blaschke degree from ``degrees`` and an
-    admissible function (as sample_admissible does) on independent
-    per-trial streams derived from (seed, trial index), so the counts
-    do not depend on evaluation order.  All leaves are drawn first;
-    then one region-kernel call, one column per trial, integrates
+    Trial t takes its Blaschke degree (from ``degrees``), phase and
+    zeros from row t of one uniform block drawn from ``seed`` (see
+    _leaf_draws).  The row depends only on (seed, t, max(degrees)),
+    so the counts do not depend on evaluation order and ``trials=k``
+    runs the first k trials of any longer run.  All leaves are drawn
+    first; then one region-kernel call, one column per trial, integrates
     zeta^j (g - g(0)) along [0, z0], and one distance call tests each
     integral against the polygon inflated by ``inflation``.  The kernel
     checks gamma, j and z0, and a quadrature failure names the trials.
@@ -225,18 +237,13 @@ def membership_trial(
     degrees 1..4, which stay strictly interior.
     """
     degrees = tuple(int(d) for d in degrees)
+    if not degrees:
+        raise ValueError("degrees must name at least one blaschke degree")
     if any(d < 0 for d in degrees):
         raise ValueError("blaschke degrees must be >= 0")
-    picks = [
-        degrees[int(np.random.default_rng((seed, t, 0xD0)).integers(len(degrees)))]
-        for t in range(trials)
-    ]
-    leaves = [_draw_leaf(_stream_seed(seed, t), d) for t, d in enumerate(picks)]
-    phase = np.array([p for p, _ in leaves], dtype=complex)
-    used = np.arange(max(picks, default=0))[:, None] < np.array(picks, dtype=int)
-    zeros = np.zeros(used.shape, dtype=complex)
-    for t, (_, a) in enumerate(leaves):
-        zeros[: len(a), t] = a
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
+    phase, zeros, used = _leaf_draws(seed, trials, degrees)
     values = _q(
         domain, gamma, j, z0,
         lambda zeta, cols: _blaschke_leaf(phase[cols], zeros[:, cols], used[:, cols], zeta), cfg,
@@ -251,8 +258,3 @@ def membership_trial(
         max_signed_distance=float(np.max(dist, initial=-math.inf)),
         failures=tuple((t, complex(values[t]), float(dist[t])) for t in outside),
     )
-
-
-def _stream_seed(seed: int, trial: int) -> int:
-    # Stable per-trial stream id; fits the sampler's integer seed field.
-    return (seed * 1_000_003 + trial) % (2**63)

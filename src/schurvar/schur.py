@@ -36,6 +36,7 @@ matrix built from the data.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 from typing import Sequence
@@ -126,10 +127,14 @@ def schur_parameters(data: Sequence[complex]) -> SchurParameters:
     O(n); only a unimodular stop divides out the remaining coefficients
     of omega_j, by forward substitution.  Data exact in binary stay
     exact through the levels, so their boundary tails are exactly zero.
+    A non-finite datum raises ValueError naming its index.
     """
     if len(data) == 0:
         raise ValueError("data must contain at least c_0")
     num = [complex(v) for v in data]
+    for k, v in enumerate(num):
+        if not cmath.isfinite(v):
+            raise ValueError(f"data[{k}] = {v} is not finite")
     den = [1 + 0j] + [0j] * (len(num) - 1)
     gamma: list = []
     while True:

@@ -247,6 +247,12 @@ def test_usage_errors_exit_two(capsys):
         ["region", "--domain", "halfplane", "--data", "0,0.3", "--j", "-1", "--z0", "1.5"],
     )[0] == 2
     assert capture(capsys, ["nonsense"])[0] == 2
+    code, out, err = capture(
+        capsys,
+        ["membership", "--domain", "halfplane", "--gamma", "0,0.3",
+         "--j", "-1", "--z0", "0.5", "--trials", "-3", "--seed", "1"],
+    )
+    assert (code, out) == (2, "") and "trials" in err
 
 
 def test_byte_identical_reruns():

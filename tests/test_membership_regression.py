@@ -1,11 +1,14 @@
-"""Batched membership reports against reports frozen from the per-trial loop.
+"""Batched membership reports against reports of a per-trial reference loop.
 
-``data/membership_regression.json`` holds reports of the per-trial
-implementation, which drew, integrated and measured every trial on its
-own (default QuadratureConfig).  Cases: halfplane (alpha 0), sector
-(beta 0.5), Janowski (2, -1) and kucv (k = 1) at j = -1, 0, 1 and
-|z0| = 0.3, 0.6, 0.8, 60 trials each, run three ways: degree-0 leaves
-with inflation 1e-9 ("boundary": every trial lands on the curve,
+``data/membership_regression.json`` is written by
+``data/make_membership_regression.py`` (``--check`` re-derives it), a
+loop that never calls ``membership_trial``: it decodes each trial's leaf
+from row t of the case's one uniform block, integrates that one
+admissible function on its own (default QuadratureConfig) and measures
+it against the polygon of ``region_compute``.  Cases: halfplane (alpha
+0), sector (beta 0.5), Janowski (2, -1) and kucv (k = 1) at j = -1, 0, 1
+and |z0| = 0.3, 0.6, 0.8, 60 trials each, run three ways: degree-0
+leaves with inflation 1e-9 ("boundary": every trial lands on the curve,
 outside the chord polygon, so every value is reported), the default
 degrees and inflation ("default"), and, at |z0| = 0.6, the default
 degrees with inflation -inf ("exposed": every Blaschke-leaf value is

@@ -23,7 +23,7 @@ from schurvar import (
     schur_parameters,
     theta_grid,
 )
-from schurvar.oracle import _draw_leaf, _stream_seed
+from schurvar.oracle import _leaf_draws
 
 HP = HalfPlane()
 
@@ -210,6 +210,10 @@ def test_membership_rejects_bad_input_before_integrating():
             membership_trial(HP, gamma, 0, 0.5, trials=2, seed=0)
     with pytest.raises(ValueError):
         membership_trial(HP, (0j,), 0, 0.5, trials=2, seed=0, degrees=(1, -1))
+    with pytest.raises(ValueError, match="degrees"):
+        membership_trial(HP, (0j,), 0, 0.5, trials=2, seed=0, degrees=())
+    with pytest.raises(ValueError, match="trials"):
+        membership_trial(HP, (0j,), 0, 0.5, trials=-3, seed=0)
     with pytest.raises(ValueError):
         membership_trial(HP, (0j,), -2, 0.5, trials=2, seed=0)
     for z0 in (0, 1.0, 0.6 + 0.8j):
@@ -233,7 +237,45 @@ def test_membership_degree_zero_leaf_equals_q_point(dom, j):
         dom, gamma, j, z0, trials, seed, degrees=(0,), inflation=-math.inf
     )
     assert [t for t, _, _ in rep.failures] == list(range(trials))
+    phases, _, _ = _leaf_draws(seed, trials, (0,))
     for t, value, _ in rep.failures:
-        phase, _ = _draw_leaf(_stream_seed(seed, t), 0)
-        want = q_point(dom, gamma, j, z0, phase)
+        want = q_point(dom, gamma, j, z0, phases[t])
         assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_membership_shorter_run_is_a_prefix():
+    # Row t of the case's one stream depends only on (seed, t), so the
+    # first k trials of a longer run are the trials of a run of k: the
+    # same leaves bit for bit, and the same values up to the rounding of
+    # numpy's array loops at another batch width.
+    full_draws = _leaf_draws(11, 40, (1, 2, 3, 4))
+    args = (Sector(0.5), (0.1, 0.3 - 0.2j), 0, 0.7j)
+    full = membership_trial(*args, 40, 11, inflation=-math.inf).failures
+    for k in (0, 1, 13):
+        for x, y in zip(_leaf_draws(11, k, (1, 2, 3, 4)), full_draws):
+            assert np.array_equal(x, y[..., :k])
+        got = membership_trial(*args, k, 11, inflation=-math.inf).failures
+        assert [t for t, _, _ in got] == list(range(k))
+        for (_, value, dist), (_, v, d) in zip(got, full):
+            assert abs(value - v) <= 1e-12 * abs(v) and abs(dist - d) <= 1e-12
+
+
+def test_leaf_draws_follow_the_seed():
+    a = _leaf_draws(5, 30, (1, 2, 3, 4))
+    for x, y in zip(a, _leaf_draws(5, 30, (1, 2, 3, 4))):
+        assert np.array_equal(x, y)
+    b = _leaf_draws(6, 30, (1, 2, 3, 4))
+    assert not np.array_equal(a[0], b[0])
+    assert not np.array_equal(a[1], b[1])
+
+
+def test_leaf_draws_cover_every_degree_inside_the_zero_disk():
+    degrees = (1, 2, 3, 4)
+    phase, zeros, used = _leaf_draws(3, 1000, degrees)
+    assert phase.shape == (1000,) and zeros.shape == used.shape == (4, 1000)
+    assert np.allclose(np.abs(phase), 1, rtol=0, atol=1e-15)
+    picked = used.sum(axis=0)
+    assert set(picked.tolist()) == set(degrees)
+    # A degree-d leaf uses exactly its first d factors.
+    assert np.array_equal(used, np.arange(4)[:, None] < picked)
+    assert np.all(np.abs(zeros) <= 0.9)

@@ -11,8 +11,11 @@ from schurvar import (
     INF,
     BlaschkeTower,
     Classification,
+    HalfPlane,
+    RegionRequest,
     mobius_eval,
     mobius_series,
+    region_compute,
     schur_parameters,
     toeplitz_membership,
     tower_eval,
@@ -190,6 +193,15 @@ def test_toeplitz_against_numpy_svd_long_data():
 def test_toeplitz_rejects_non_finite_data(bad):
     with pytest.raises(ValueError):
         toeplitz_membership((0.5, bad))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_recursion_rejects_non_finite_data_by_index(bad):
+    for data, index in (((0.5, bad), 1), ((bad,), 0), ((2.0, 0.1, bad), 2)):
+        with pytest.raises(ValueError, match=rf"data\[{index}\]"):
+            schur_parameters(data)
+    with pytest.raises(ValueError, match=r"data\[1\]"):
+        region_compute(RegionRequest(HalfPlane(), (0.2, bad), 0, 0.5))
 
 
 def test_mobius_fixed_points_and_values():
