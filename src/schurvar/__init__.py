@@ -23,7 +23,6 @@ from .schur import (
     Classification,
     SchurParameters,
     mobius_eval,
-    mobius_series,
     schur_parameters,
     toeplitz_membership,
     tower_eval,
@@ -49,7 +48,6 @@ from .regions import (
     q_point,
     region_compute,
     single_point_value,
-    theta_grid,
 )
 from .variability import (
     FixedA2,
@@ -88,7 +86,6 @@ __all__ = [
     "Classification",
     "SchurParameters",
     "mobius_eval",
-    "mobius_series",
     "schur_parameters",
     "toeplitz_membership",
     "tower_eval",
@@ -110,7 +107,6 @@ __all__ = [
     "q_point",
     "region_compute",
     "single_point_value",
-    "theta_grid",
     "FixedA2",
     "FixedA2A3",
     "GammaPair",

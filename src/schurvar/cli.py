@@ -109,7 +109,7 @@ def _gamma_json(gamma) -> list:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
+    return json.dumps(obj, ensure_ascii=False, allow_nan=False, separators=(", ", ": "))
 
 
 def _emit_json_result(res: RegionResult) -> str:
@@ -331,7 +331,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
         payload = {
             "inside": report.inside,
             "total": report.total,
-            "max_signed_distance": report.max_signed_distance,
+            # An empty run has no distance (-inf is not JSON).
+            "max_signed_distance": report.max_signed_distance if report.total else None,
         }
         _write_out(_json_dumps(payload) + "\n", None)
         return 0

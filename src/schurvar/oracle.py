@@ -31,7 +31,7 @@ import numpy as np
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, integrate_segment
 # q_point and mobius_eval stay importable here (bench/tracing.py patches them).
-from .regions import _q, _q_eps, _thetas, polygon_signed_distance, q_point, theta_grid  # noqa: F401
+from .regions import _q, _q_eps, _thetas, polygon_signed_distance, q_point  # noqa: F401
 from .schur import _climb, mobius_eval  # noqa: F401
 
 __all__ = [
@@ -75,7 +75,7 @@ def gronwall_curve(
     z0: complex, lam: float, samples: int = 720
 ) -> tuple[tuple[float, ...], tuple[complex, ...]]:
     """Sample the closed-form curve on the standard trace grid."""
-    thetas = theta_grid(samples)
+    thetas = tuple(_thetas(samples).tolist())
     return thetas, tuple(gronwall_curve_point(z0, lam, th) for th in thetas)
 
 

@@ -2,7 +2,8 @@
 
 Integrals here are always of the form  int_0^{z_end} f(zeta) d(zeta)
 taken along the straight segment, parametrized as zeta(t) = t*z_end for
-t in [0, 1].  Each panel is a Gauss-Kronrod pair; the panel error
+t in [0, 1] (each column of a vector integrand may have its own
+endpoint, on the same panels in t).  Each panel is a Gauss-Kronrod pair; the panel error
 estimate is |K - G| of that pair and panels failing their share of the
 budget are bisected.  All nodes are interior, so integrands with a
 removable singularity at the origin (the 1/zeta weight against a
@@ -175,10 +176,10 @@ class QuadratureError(RuntimeError):
 
 def integrate_segment(
     integrand: Callable[[np.ndarray], np.ndarray],
-    z_end: complex,
+    z_end: complex | np.ndarray,
     cfg: QuadratureConfig | None = None,
 ) -> complex | np.ndarray:
-    """Integrate along the segment from 0 to z_end.
+    """Integrate along the segment from 0 to z_end (column c to z_end[c]).
 
     For every column the estimated error of the result is at most
     max(abs_tol, rel_tol * |result|); the relative scale is taken from
@@ -194,22 +195,26 @@ def integrate_segment(
     Parameters
     ----------
     integrand : callable
-        Called with the panel's k nodes, a complex array of shape
-        (k,), where k is 31 under G15/K31 and 15 under G7/K15.
-        Returning shape (k,) gives a complex result (one column);
-        shape (k, m) gives the (m,) array of m integrals.
+        Called with the panel's k nodes (k is 31 under G15/K31 and 15
+        under G7/K15): shape (k,) for a scalar z_end, or (k, m) with
+        column c at t z_end[c] for an array z_end.  Returning shape (k,)
+        gives a complex result (one column); shape (k, m) gives the (m,)
+        array of m integrals.
         An optional attribute ``take(cols)`` returns the integrand
         restricted to the global column indices ``cols`` (an integer
         array), whose values must equal the sliced full output; a panel
         refined for fewer than all columns then calls
         ``integrand.take(cols)(zeta)`` instead of evaluating every column.
-    z_end : complex
+    z_end : complex or (m,) array of complex
         Endpoint; 0 gives the empty contour and an exact 0 result
-        without calling the integrand.
+        without calling the integrand.  An array gives each column its
+        own nonzero endpoint.
     cfg : QuadratureConfig, optional
 
     Raises
     ------
+    ValueError
+        If an array z_end holds a zero endpoint.
     QuadratureError
         If some column still fails its budget at max_depth (the
         exception carries each column's estimate and error bound), or
@@ -218,14 +223,19 @@ def integrate_segment(
     """
     if cfg is None:
         cfg = DEFAULT_CONFIG
-    z_end = complex(z_end)
-    if z_end == 0:
+    one_end = np.ndim(z_end) == 0
+    z_end = complex(z_end) if one_end else np.asarray(z_end, dtype=complex)
+    if one_end and z_end == 0:
         return 0j
+    if not one_end and not z_end.all():
+        raise ValueError("array endpoints must be nonzero")
+    segment = f"[0, {z_end}]" if one_end else "[0, z_end[c]]"
 
     x, wk, wd = _G15K31 if min(cfg.abs_tol, cfg.rel_tol) < _K31_BELOW else _G7K15
 
-    def nodes(a: float, b: float) -> np.ndarray:
-        return (0.5 * (a + b) + 0.5 * (b - a) * x) * z_end
+    def nodes(a: float, b: float, cols: slice | np.ndarray) -> np.ndarray:
+        t = 0.5 * (a + b) + 0.5 * (b - a) * x
+        return t * z_end if one_end else t[:, None] * z_end[cols]
 
     def rule(a: float, b: float, cols: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
         """Kronrod values and |Kronrod - Gauss| on [a, b] from the values f
@@ -237,7 +247,7 @@ def integrate_segment(
         if not finite.all():
             bad = tuple(cols[~finite].tolist())
             raise QuadratureError(
-                f"non-finite integrand value on [0, {z_end}] in column(s) {list(bad)}",
+                f"non-finite integrand value on {segment} in column(s) {list(bad)}",
                 complex("nan"),
                 np.inf,
                 bad,
@@ -250,14 +260,14 @@ def integrate_segment(
     def panel(a: float, b: float, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """rule on [a, b] for columns cols: every column from the integrand
         itself, fewer through its take, or else sliced from every column."""
-        zeta = nodes(a, b)
         if len(cols) == len(tol_t):
-            return rule(a, b, cols, integrand(zeta))
+            return rule(a, b, cols, integrand(nodes(a, b, cols)))
         if take is not None:
-            return rule(a, b, cols, take(cols)(zeta))
-        return rule(a, b, cols, np.asarray(integrand(zeta)).reshape(len(x), -1)[:, cols])
+            return rule(a, b, cols, take(cols)(nodes(a, b, cols)))
+        every = np.asarray(integrand(nodes(a, b, slice(None))))
+        return rule(a, b, cols, every.reshape(len(x), -1)[:, cols])
 
-    f = np.asarray(integrand(nodes(0.0, 1.0)))
+    f = np.asarray(integrand(nodes(0.0, 1.0, slice(None))))
     scalar = f.ndim == 1
     cols = np.arange(f.size // len(x))
     first, err0 = rule(0.0, 1.0, cols, f)
@@ -294,7 +304,7 @@ def integrate_segment(
         bad = tuple(np.flatnonzero(failed).tolist())
         raise QuadratureError(
             f"max depth {cfg.max_depth} exceeded without convergence "
-            f"on [0, {z_end}] in column(s) {list(bad)}",
+            f"on {segment} in column(s) {list(bad)}",
             total,
             bound,
             bad,

@@ -38,7 +38,6 @@ __all__ = [
     "RegionRequest",
     "RegionPolygon",
     "RegionResult",
-    "theta_grid",
     "q_point",
     "k_primitive",
     "single_point_value",
@@ -49,13 +48,8 @@ __all__ = [
 ]
 
 
-def theta_grid(samples: int) -> tuple[float, ...]:
-    """Trace angles theta_m = -pi + 2 pi m / samples, m = 0..samples-1."""
-    return tuple(_thetas(samples).tolist())
-
-
 def _thetas(samples: int) -> np.ndarray:
-    """theta_grid as an array (the same floats, bit for bit)."""
+    """Trace angles theta_m = -pi + 2 pi m / samples, m = 0..samples-1."""
     if samples < 8:
         raise ValueError("samples must be >= 8")
     return -np.pi + 2 * np.pi * np.arange(samples) / samples
@@ -65,28 +59,30 @@ def _q(
     domain: DomainMap,
     gamma: Sequence[complex],
     j: int,
-    z0: complex,
+    z0: complex | np.ndarray,
     leaf: Callable[[np.ndarray, slice | np.ndarray], np.ndarray],
     cfg: QuadratureConfig | None,
     names: Callable[[tuple[int, ...]], str],
 ) -> np.ndarray:
     """Q_{gamma,j}(z0, .) for the towers over the leaf self-maps ``leaf``.
 
-    The one integral kernel: ``leaf(zeta, cols)`` maps the (k, 1) panel
-    nodes (k = 31 or 15, by the budget's quadrature rule) to one column
-    of leaf values per tower in ``cols`` (a slice or an index array;
-    eps[cols] zeta for a trace, zeta B(zeta) of the trials cols for
-    membership), and every panel climbs those towers in one array pass.
+    The one integral kernel: ``leaf(zeta, cols)`` maps the panel nodes
+    zeta, shape (k, 1) for one endpoint z0 or (k, len(cols)) for an
+    array z0 of one endpoint per tower (k = 31 or 15, by the budget's
+    quadrature rule), to one column of leaf values per tower in ``cols``
+    (a slice or an index array; eps[cols] zeta for a trace, zeta B(zeta)
+    of the trials cols for membership, eps zeta for the extremal
+    function), and every panel climbs those towers in one array pass.
     The integrand's ``take`` restricts it to ``cols``, so a panel
     refined for the columns still short of their budget climbs only
     those towers.  Inputs are checked before the first panel; a
-    quadrature failure names z0, j, the domain and, via ``names``, the
-    columns.
+    quadrature failure names z0 (the failing endpoints of an array),
+    j, the domain and, via ``names``, the columns.
     """
     if j < -1:
         raise ValueError("weight exponent must satisfy j >= -1")
-    z0 = complex(z0)
-    if not 0 < abs(z0) < 1:
+    z0 = complex(z0) if np.ndim(z0) == 0 else np.asarray(z0, dtype=complex)
+    if not np.all((0 < np.abs(z0)) & (np.abs(z0) < 1)):
         raise ValueError("z0 must satisfy 0 < |z0| < 1")
     gamma = tuple(complex(v) for v in gamma)
     if not gamma or any(abs(v) >= 1 for v in gamma):
@@ -95,7 +91,7 @@ def _q(
 
     def integrand(cols: slice | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         def f(zeta: np.ndarray) -> np.ndarray:
-            zeta = zeta[:, None]
+            zeta = zeta.reshape(len(zeta), -1)
             return zeta**j * (domain.eval(_climb(gamma, zeta, leaf(zeta, cols))) - base)
 
         return f
@@ -103,8 +99,9 @@ def _q(
     try:
         return integrate_segment(_taking(integrand, slice(None)), z0, cfg)
     except QuadratureError as exc:
+        at = z0 if np.ndim(z0) == 0 else z0[list(exc.columns)][:4].tolist()
         raise QuadratureError(
-            f"{exc}; {names(exc.columns)}, z0 = {z0}, j = {j}, domain {domain.spec_string()}",
+            f"{exc}; {names(exc.columns)}, z0 = {at}, j = {j}, domain {domain.spec_string()}",
             exc.estimate,
             exc.error_bound,
             exc.columns,

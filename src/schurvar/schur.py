@@ -53,7 +53,6 @@ __all__ = [
     "schur_parameters",
     "toeplitz_membership",
     "mobius_eval",
-    "mobius_series",
     "BlaschkeTower",
     "tower_eval",
     "tower_taylor",
@@ -236,12 +235,6 @@ def _mobius_of(a: complex, s: ComplexSeries) -> ComplexSeries:
     numer = ComplexSeries((a,) + s.coeffs[1:])
     denom = ComplexSeries((1 + 0j,) + tuple(a.conjugate() * c for c in s.coeffs[1:]))
     return series_mul(numer, series_reciprocal(denom))
-
-
-def mobius_series(a: complex, order: int) -> ComplexSeries:
-    """Taylor series of s_a at 0: a + (1-|a|^2) w - conj(a)(1-|a|^2) w^2 - ..."""
-    w = ComplexSeries.identity(max(order, 1))
-    return _mobius_of(complex(a), w).truncated(order)
 
 
 @dataclass(frozen=True)

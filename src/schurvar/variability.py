@@ -25,16 +25,17 @@ arithmetic and close the loop back to (lambda, mu).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, integrate_segment
-# k_primitive stays importable from this module (bench/tracing.py patches it here).
+# k_primitive and q_point stay importable from this module (bench/tracing.py patches them here).
 from .regions import (  # noqa: F401
     RegionRequest,
     RegionResult,
+    _q,
     k_primitive,
     q_point,
     region_compute,
@@ -173,26 +174,27 @@ def extremal_f_eval(
 
     ``gamma`` holds the tower parameters BELOW the structural leading
     zero (the data is (0, gamma_1, ..., gamma_m)), matching the
-    coefficient-bridge convention.  The inner tower integral runs at a
-    tenth of the outer tolerance so its noise stays below the outer
-    error estimate.  f(0) = 0 and f'(0) = 1.
+    coefficient-bridge convention.  Each outer panel gets Q at all its
+    nodes from one kernel call, one endpoint per node; these inner
+    integrals run at a tenth of the outer tolerance so their noise
+    stays below the outer error estimate.  f(0) = 0 and f'(0) = 1.
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    inner = QuadratureConfig(
-        abs_tol=cfg.abs_tol / 10,
-        rel_tol=cfg.rel_tol / 10,
-        max_depth=cfg.max_depth,
-    )
-    full = (0j,) + tuple(complex(v) for v in gamma)
+    inner = replace(cfg, abs_tol=cfg.abs_tol / 10, rel_tol=cfg.rel_tol / 10)
     z = complex(z)
     if z == 0:
         return 0j
     if abs(z) >= 1:
         raise ValueError("argument must satisfy |z| < 1")
+    tower = BlaschkeTower((0j,) + tuple(gamma), eps)
 
     def f(zeta: np.ndarray) -> np.ndarray:
-        return np.exp([q_point(domain, full, -1, node, eps, inner) for node in zeta])
+        q = _q(
+            domain, tower.gamma, -1, zeta, lambda w, cols: tower.epsilon * w, inner,
+            lambda cols: f"eps = {tower.epsilon}",
+        )
+        return np.exp(q)
 
     return integrate_segment(f, z, cfg)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -71,6 +72,18 @@ def test_readme_examples_found():
     assert [c.split()[0] for c, _ in _readme_examples()] == [
         "schur", "extremal", "compare-gronwall", "membership", "h-check",
     ]
+
+
+def test_readme_python_blocks_run():
+    # Later blocks use names imported by earlier ones, as a reader
+    # running them in one session would.
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["res"].is_region
 
 
 @given(finite, finite)
@@ -223,6 +236,16 @@ def test_membership_subcommand(capsys):
     payload = json.loads(out)
     assert payload["inside"] == payload["total"] == 25
     assert payload["max_signed_distance"] < 0
+
+
+def test_membership_without_trials_prints_null_distance(capsys):
+    code, out, _ = capture(
+        capsys,
+        ["membership", "--domain", "halfplane", "--gamma", "0,0.3",
+         "--j", "-1", "--z0", "0.45", "--trials", "0", "--seed", "3"],
+    )
+    assert code == 0
+    assert json.loads(out) == {"inside": 0, "total": 0, "max_signed_distance": None}
 
 
 def test_h_check_subcommand(capsys):

@@ -13,6 +13,7 @@ from schurvar import (
     Janowski,
     QuadratureConfig,
     QuadratureError,
+    RegionRequest,
     Sector,
     gronwall_curve,
     gronwall_curve_point,
@@ -20,8 +21,8 @@ from schurvar import (
     membership_trial,
     q_point,
     sample_admissible,
+    region_compute,
     schur_parameters,
-    theta_grid,
 )
 from schurvar.oracle import _leaf_draws
 
@@ -30,7 +31,7 @@ HP = HalfPlane()
 
 def test_curve_reduces_to_log_at_zero_slope():
     z0 = 0.6
-    for theta in theta_grid(16):
+    for theta in np.linspace(-math.pi, math.pi, 16, endpoint=False):
         got = gronwall_curve_point(z0, 0.0, theta)
         want = -cmath.log(1 - cmath.exp(1j * theta) * z0 * z0)
         assert abs(got - want) <= 1e-12
@@ -43,7 +44,7 @@ def test_curve_frozen_value():
 
 
 def test_curve_matches_region_engine_pointwise():
-    for theta in theta_grid(8):
+    for theta in np.linspace(-math.pi, math.pi, 8, endpoint=False):
         got = gronwall_curve_point(0.6, 0.7, theta)
         want = q_point(HP, (0j, 0.7), -1, 0.6, cmath.exp(1j * theta))
         assert abs(got - want) <= 1e-12
@@ -51,7 +52,9 @@ def test_curve_matches_region_engine_pointwise():
 
 def test_curve_batch_matches_pointwise():
     thetas, points = gronwall_curve(0.5, 0.4, samples=32)
-    assert thetas == theta_grid(32)
+    # The curve is sampled on the engine's trace grid.
+    trace = region_compute(RegionRequest(HP, (0j, 0.4), -1, 0.5, samples=32))
+    assert thetas == trace.polygon.thetas
     for theta, p in zip(thetas, points):
         assert p == gronwall_curve_point(0.5, 0.4, theta)
 

@@ -266,3 +266,28 @@ def test_non_finite_value_in_refined_panel_names_only_live_columns():
             integrate_segment(integrand, 1.0)
         assert info.value.columns == (2,)
         assert "column(s) [2]" in str(info.value)
+
+
+def test_array_endpoints_match_scalar_calls():
+    # One column per endpoint: near and far from the pole, tiny, and in
+    # every direction; the near ones refine, the others stop early.
+    ends = np.array([0.95, 1e-4, 0.3 - 0.4j, -0.9, 0.7j, 0.99 * cmath.exp(0.05j)])
+
+    def g(zeta):
+        return 1 / (1.001 - zeta) + zeta**2
+
+    def taking(cols):
+        h = lambda zeta: g(zeta)
+        h.take = taking
+        return h
+
+    want = np.array([integrate_segment(g, e) for e in ends])
+    for integrand in (g, taking(slice(None))):
+        got = integrate_segment(integrand, ends)
+        assert got.shape == ends.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_array_endpoints_must_be_nonzero():
+    with pytest.raises(ValueError):
+        integrate_segment(lambda zeta: zeta, np.array([0.5, 0, 0.3j]))

@@ -27,12 +27,16 @@ from schurvar import (
     q_point,
     region_compute,
     single_point_value,
-    theta_grid,
 )
 from schurvar import regions
-from schurvar.oracle import membership_trial
+from schurvar.oracle import gronwall_curve, membership_trial
 
 HP = HalfPlane()
+
+
+def theta_grid(n):
+    """The trace grid theta_m = -pi + 2 pi m / n by the scalar formula."""
+    return tuple(-math.pi + 2 * math.pi * m / n for m in range(n))
 
 
 def regular_polygon(sides, radius=1.0, center=0j):
@@ -48,20 +52,26 @@ def _wrap(points):
     )
 
 
+def _traced_thetas(n):
+    return region_compute(RegionRequest(HP, (0j,), -1, 0.5, samples=n)).polygon.thetas
+
+
 def test_theta_grid_structure():
-    g = theta_grid(8)
+    g = _traced_thetas(8)
     assert len(g) == 8
     assert g[0] == -math.pi
     steps = {round(b - a, 15) for a, b in zip(g, g[1:])}
     assert len(steps) == 1
     assert g[-1] < math.pi
     with pytest.raises(ValueError):
-        theta_grid(7)
+        RegionRequest(HP, (0j,), -1, 0.5, samples=7)
+    with pytest.raises(ValueError):
+        gronwall_curve(0.5, 0.3, samples=7)
 
 
 @pytest.mark.parametrize("n", [8, 32, 64, 256, 1000, 4096])
 def test_theta_grid_matches_scalar_formula_bit_for_bit(n):
-    assert theta_grid(n) == tuple(-math.pi + 2 * math.pi * m / n for m in range(n))
+    assert _traced_thetas(n) == theta_grid(n)
 
 
 def test_q_point_single_zero_closed_form():

@@ -14,7 +14,6 @@ from schurvar import (
     HalfPlane,
     RegionRequest,
     mobius_eval,
-    mobius_series,
     region_compute,
     schur_parameters,
     toeplitz_membership,
@@ -242,16 +241,17 @@ def test_recursion_never_yields_non_finite_gamma(data):
 
 
 def test_mobius_series_matches_eval():
+    # The one-level tower (a,) over the leaf z is s_a itself.
     a = 0.3 - 0.2j
-    s = mobius_series(a, 16)
+    s = tower_taylor(BlaschkeTower((a,), 1), 16)
     for z in (0.1, -0.05 + 0.08j):
         val = sum(c * z**p for p, c in enumerate(s.coeffs))
         assert abs(val - mobius_eval(a, z)) <= 1e-13
 
 
 def test_mobius_series_order():
-    assert mobius_series(0.5, 0).order == 0
-    assert mobius_series(0.5, 3).order == 3
+    assert tower_taylor(BlaschkeTower((0.5,), 1), 0).order == 0
+    assert tower_taylor(BlaschkeTower((0.5,), 1), 3).order == 3
 
 
 def test_tower_validation():

@@ -19,6 +19,8 @@ from schurvar import (
     FixedA2A3,
     HalfPlane,
     Janowski,
+    QuadratureConfig,
+    QuadratureError,
     RegionRequest,
     Sector,
     VariabilityQuery,
@@ -33,6 +35,7 @@ from schurvar import (
     region_compute,
     schur_parameters,
 )
+from schurvar import regions, variability
 
 HP = HalfPlane()
 CATALOG = (HP, Sector(0.5), Janowski(2, -1), ConicSection(1.0))
@@ -189,6 +192,43 @@ def test_extremal_f_eval_normalization():
     assert extremal_f_eval(HP, (0.3,), 1.0, 0) == 0j
     f = extremal_f_eval(HP, (0.3,), 1.0, 1e-4)
     assert abs(f / 1e-4 - 1) < 1e-3
+
+
+def test_extremal_f_eval_makes_one_kernel_call_per_outer_panel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("q_point called")
+
+    monkeypatch.setattr(variability, "q_point", refuse)
+    monkeypatch.setattr(regions, "q_point", refuse)
+    kernel_calls, panels = [], []
+    kernel = variability._q
+    outer = variability.integrate_segment
+
+    def counting_kernel(domain, gamma, j, z0, *rest):
+        kernel_calls.append(np.shape(z0))
+        return kernel(domain, gamma, j, z0, *rest)
+
+    def counting_outer(f, z_end, cfg=None):
+        def g(zeta):
+            panels.append(zeta.shape)
+            return f(zeta)
+
+        return outer(g, z_end, cfg)
+
+    monkeypatch.setattr(variability, "_q", counting_kernel)
+    monkeypatch.setattr(variability, "integrate_segment", counting_outer)
+    f = extremal_f_eval(HP, (0.3, 0.1), 1.0, 0.6j)
+    assert kernel_calls == panels and len(panels) >= 1
+    assert all(shape == (31,) for shape in panels)
+    co = extremal_coefficients(HP, (0.3, 0.1), 1.0, 60)
+    assert abs(f - sum(c * 0.6j**k for k, c in enumerate(co.coeffs))) <= 1e-12
+
+
+def test_extremal_f_eval_failure_names_failing_nodes():
+    with pytest.raises(QuadratureError) as info:
+        extremal_f_eval(HP, (0.3,), 1.0, 0.95, QuadratureConfig(1e-15, 1e-15, 1))
+    text = str(info.value)
+    assert "eps = (1+0j), z0 = [(" in text and "domain halfplane" in text
 
 
 def test_extremal_f_eval_matches_series():
