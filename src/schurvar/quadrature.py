@@ -3,11 +3,12 @@
 Integrals here are always of the form  int_0^{z_end} f(zeta) d(zeta)
 taken along the straight segment, parametrized as zeta(t) = t*z_end for
 t in [0, 1] (each column of a vector integrand may have its own
-endpoint, on the same panels in t).  Each panel is a Gauss-Kronrod pair; the panel error
-estimate is |K - G| of that pair and panels failing their share of the
-budget are bisected.  All nodes are interior, so integrands with a
-removable singularity at the origin (the 1/zeta weight against a
-vanishing numerator) are evaluated safely without special-casing.
+endpoint, on the same panels in t).  Each panel is a Gauss-Kronrod
+pair; the panel error estimate is |K - G| of that pair and panels
+failing their share of the budget are bisected.  All nodes are
+interior, so integrands with a removable singularity at the origin (the
+1/zeta weight against a vanishing numerator) are evaluated safely
+without special-casing.
 
 The pair is chosen once per call from the budget.  Below 1e-10 (the
 default 1e-12 and anything tighter) it is G15/K31: on a panel whose

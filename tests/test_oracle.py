@@ -20,8 +20,8 @@ from schurvar import (
     h_transform,
     membership_trial,
     q_point,
-    sample_admissible,
     region_compute,
+    sample_admissible,
     schur_parameters,
 )
 from schurvar.oracle import _leaf_draws
