@@ -10,8 +10,9 @@ documented draw scheme: one ``default_rng(seed).random((trials,
 e^{2 pi i u_{2k+3}}).  For each trial it builds a closure for that one
 admissible function, zeta^j (g(zeta) - g(0)) with g = P(tower over
 zeta B(zeta)), integrates it alone with ``integrate_segment`` (default
-budget), and measures the value with ``polygon_signed_distance`` against
-the polygon ``region_compute`` traces from the tower's Caratheodory data.
+budget), and measures the value against the polygon ``region_compute``
+traces from the tower's Caratheodory data with its own loop over the
+polygon's segments (``signed_distance``), not ``polygon_signed_distance``.
 
 Cases: halfplane (alpha 0), sector (beta 0.5), Janowski (2, -1) and kucv
 (k = 1) at j = -1, 0, 1 and |z0| = 0.3, 0.6, 0.8, 60 trials each, run as
@@ -37,7 +38,6 @@ from schurvar import (
     integrate_segment,
     make_domain,
     mobius_eval,
-    polygon_signed_distance,
     region_compute,
     tower_taylor,
 )
@@ -89,6 +89,21 @@ def admissible_integrand(domain, gamma, j, phase, zeros):
     return f
 
 
+def signed_distance(points, w):
+    """Distance from w to the nearest clipped segment of the closed polygon,
+    negated when w lies on the inner side of every edge (the sign test of
+    a convex polygon, either orientation)."""
+    edges = list(zip(points, points[1:] + points[:1]))
+    turn = 1 if sum((a.conjugate() * b).imag for a, b in edges) >= 0 else -1
+    best, inside = math.inf, True
+    for a, b in edges:
+        e, rel = b - a, w - a
+        t = 0.0 if e == 0 else min(1.0, max(0.0, (rel * e.conjugate()).real / abs(e) ** 2))
+        best = min(best, abs(w - (a + t * e)))
+        inside = inside and turn * (e.conjugate() * rel).imag >= 0
+    return -best if inside else best
+
+
 def report(domain, gamma, j, z0, seed, degrees, inflation):
     data = tower_taylor(BlaschkeTower(gamma, 0), len(gamma) - 1).coeffs
     polygon = region_compute(RegionRequest(domain, data, j, z0)).polygon
@@ -102,7 +117,7 @@ def report(domain, gamma, j, z0, seed, degrees, inflation):
             for k in range(degree)
         ]
         value = complex(integrate_segment(admissible_integrand(domain, gamma, j, phase, zeros), z0))
-        dist = polygon_signed_distance(polygon, value)
+        dist = signed_distance(polygon.points, value)
         worst = max(worst, dist)
         if dist <= inflation:
             inside += 1

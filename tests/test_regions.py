@@ -279,6 +279,82 @@ def test_polygon_signed_distance_orientation_free():
     assert polygon_signed_distance(_wrap(pts[::-1]), 0j) < 0
 
 
+def _segment_signed_distance(points, w):
+    """Reference: nearest clipped segment, negated when w is on the inner
+    side of every edge (the convex sign test), one edge at a time."""
+    pts = [complex(p) for p in points]
+    edges = list(zip(pts, pts[1:] + pts[:1]))
+    turn = 1 if sum((a.conjugate() * b).imag for a, b in edges) >= 0 else -1
+    best, inside = math.inf, True
+    for a, b in edges:
+        e, rel = b - a, w - a
+        t = 0.0 if e == 0 else min(1.0, max(0.0, (rel * e.conjugate()).real / abs(e) ** 2))
+        best = min(best, abs(w - (a + t * e)))
+        inside = inside and turn * (e.conjugate() * rel).imag >= 0
+    return -best if inside else best
+
+
+def _distance_queries(points, seed):
+    """Inside, outside, far, on-edge and on-vertex queries; vertices last."""
+    p = np.asarray(points)
+    rng = np.random.default_rng(seed)
+    k = rng.integers(len(p), size=40)
+    c = p.mean()
+    diam = float(np.max(np.abs(p[:, None] - p)))
+    return np.concatenate([
+        c + rng.uniform(0, 0.99, 40) * (p[k] - c),
+        c + rng.uniform(1.01, 2, 40) * (p[k] - c),
+        c + 100 * diam * np.exp(2j * np.pi * rng.uniform(size=8)),
+        p[k] + rng.uniform(size=40) * (np.roll(p, -1)[k] - p[k]),
+        p,
+    ]), diam
+
+
+def _check_against_segments(points, seed):
+    queries, diam = _distance_queries(points, seed)
+    got = polygon_signed_distance(points, queries)
+    want = np.array([_segment_signed_distance(points, w) for w in queries])
+    assert np.max(np.abs(got - want)) <= 1e-13 * diam
+    assert np.all(got[-len(points):] == 0)
+    assert (got[:40] < 0).all() and (got[40:88] > 0).all()
+
+
+@pytest.mark.parametrize("sides", [3, 4, 7, 64, 256])
+@pytest.mark.parametrize("reverse", [False, True], ids=["ccw", "cw"])
+def test_signed_distance_matches_segments_on_regular_polygons(sides, reverse):
+    pts = regular_polygon(sides, radius=2.5, center=0.3 - 1j)
+    _check_against_segments(pts[::-1] if reverse else pts, sides)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.95])
+@pytest.mark.parametrize(
+    "dom", [HP, Sector(0.5), Janowski(2, -1), ConicSection(1.0)], ids=lambda d: d.spec_string()
+)
+def test_signed_distance_matches_segments_on_traced_regions(dom, r):
+    res = region_compute(RegionRequest(dom, (0j, 0.3 - 0.1j), -1, r * cmath.exp(0.7j)))
+    _check_against_segments(res.polygon.points, 5)
+
+
+def test_signed_distance_skips_zero_length_edges(recwarn):
+    pts = regular_polygon(16)
+    pts = pts[:5] + pts[4:]
+    queries = np.array([0j, 0.2 + 0.1j, 3j, pts[4], 0.5 * (pts[4] + pts[5])])
+    got = polygon_signed_distance(pts, queries)
+    assert not recwarn.list
+    assert not np.isnan(got).any()
+    want = [_segment_signed_distance(pts, w) for w in queries]
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert got[3] == 0
+    # Every edge of a one-point polygon has zero length: all queries lie outside.
+    assert polygon_signed_distance((1j, 1j), [1j, 0j, 2 + 1j]).tolist() == [0.0, 1.0, 2.0]
+
+
+def test_signed_distance_of_no_queries():
+    pts = regular_polygon(16)
+    assert polygon_signed_distance(pts, np.empty(0, complex)).shape == (0,)
+    assert polygon_signed_distance(pts, np.empty((0, 3), complex)).shape == (0, 3)
+
+
 def test_hausdorff_translation_and_symmetry():
     a = regular_polygon(64)
     b = tuple(p + (0.01 + 0.02j) for p in a)
