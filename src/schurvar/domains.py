@@ -114,7 +114,7 @@ class HalfPlane(DomainMap):
         return ComplexSeries((1 + 0j,) + (complex(c),) * order)
 
     def spec_string(self) -> str:
-        return f"halfplane:alpha={self.alpha:g}"
+        return f"halfplane:alpha={_fmt_real(self.alpha)}"
 
 
 class Sector(DomainMap):
@@ -150,7 +150,7 @@ class Sector(DomainMap):
         return series_mul(ComplexSeries(tuple(up)), ComplexSeries(tuple(down)))
 
     def spec_string(self) -> str:
-        return f"sector:beta={self.beta:g}"
+        return f"sector:beta={_fmt_real(self.beta)}"
 
 
 class Janowski(DomainMap):
@@ -250,19 +250,26 @@ class ConicSection(DomainMap):
             prev = co
             m += 1
         raise ValueError(
-            f"kucv:k={self.k:g} Taylor extraction to order {order} did not "
+            f"{self.spec_string()} Taylor extraction to order {order} did not "
             f"converge at 2^16 samples on |z| = {r:.4g} (last change "
             f"{change:.3e}, needs <= 1e-12)"
         )
 
     def spec_string(self) -> str:
-        return f"kucv:k={self.k:g}"
+        return f"kucv:k={_fmt_real(self.k)}"
+
+
+def _fmt_real(x: float) -> str:
+    """Shortest text that parses back to x exactly, without a trailing .0."""
+    s = repr(x)
+    return s[:-2] if s.endswith(".0") else s
 
 
 def _fmt_param(v: complex) -> str:
     if v.imag == 0:
-        return f"{v.real:g}"
-    return f"{v.real:g}{v.imag:+g}i"
+        return _fmt_real(v.real)
+    im = _fmt_real(v.imag)
+    return f"{_fmt_real(v.real)}{'' if im.startswith('-') else '+'}{im}i"
 
 
 def make_domain(spec: DomainSpec) -> DomainMap:

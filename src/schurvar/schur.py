@@ -29,9 +29,10 @@ family of nested Moebius towers
     s_a(w) = (w + a) / (1 + conj(a) w),
 
 parametrized by |eps| <= 1.  This module evaluates those towers
-pointwise and as truncated Taylor series, and provides an independent
-membership oracle through the norm of the lower-triangular Toeplitz
-matrix built from the data.
+pointwise and as truncated Taylor series (the same linear-fractional
+step run backwards on a pair num/den, ended by one series division),
+and provides an independent membership oracle through the norm of the
+lower-triangular Toeplitz matrix built from the data.
 """
 
 from __future__ import annotations
@@ -230,13 +231,6 @@ def mobius_eval(a: complex, z: complex | np.ndarray) -> complex | np.ndarray:
     return (z + a) / denom
 
 
-def _mobius_of(a: complex, s: ComplexSeries) -> ComplexSeries:
-    """s_a(s) = (s + a) * (1 + conj(a) s)^-1 for a series with s(0) = 0."""
-    numer = ComplexSeries((a,) + s.coeffs[1:])
-    denom = ComplexSeries((1 + 0j,) + tuple(a.conjugate() * c for c in s.coeffs[1:]))
-    return series_mul(numer, series_reciprocal(denom))
-
-
 @dataclass(frozen=True)
 class BlaschkeTower:
     """Nested Moebius tower omega_{gamma,eps}; the Schur extremal.
@@ -275,26 +269,36 @@ def _climb(gamma: tuple[complex, ...], z, w):
 
     The one pointwise climb: tower_eval passes the leaf eps z, the
     region kernel and the admissible sampler pass leaves of their own.
+    The parameters are validated to |a| < 1 and every leaf has |w| <= 1,
+    so each level has |1 + conj(a) w| >= 1 - |a| > 0: unlike
+    mobius_eval, the climb needs no pole guard.
     """
     for a in gamma[:0:-1]:
-        w = z * mobius_eval(a, w)
-    return mobius_eval(gamma[0], w)
+        w = z * ((w + a) / (1 + a.conjugate() * w))
+    a = gamma[0]
+    return (w + a) / (1 + a.conjugate() * w)
 
 
 def tower_taylor(tower: BlaschkeTower, order: int) -> ComplexSeries:
-    """Taylor series of the tower at 0, built from the leaf outward.
+    """Taylor series of the tower at 0, by Schur's step run backwards.
 
-    Each level applies the Moebius map of its parameter to the series
-    below (one reciprocal and one product) and multiplies by z; the
-    root level applies it without the z factor.
+    The tower is kept as a quotient num/den of coefficient arrays cut
+    to the order, from the leaf pair (eps z, 1) outward: a level maps
+    (num, den) to (z (num + a den), den + conj(a) num), the root level
+    without the z factor.  num(0) = 0 below the root, so den(0) = 1
+    throughout and one reciprocal and one product finish the series.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    work = max(order, 1)
-    z = ComplexSeries.identity(work)
-    s = ComplexSeries.constant(tower.epsilon, work) * z
-    g = tower.gamma
-    for i in range(len(g) - 1, 0, -1):
-        s = z * _mobius_of(g[i], s)
-    return _mobius_of(g[0], s).truncated(order)
-
+    num = np.zeros(order + 1, dtype=complex)
+    num[1:2] = tower.epsilon  # the leaf eps z; at order 0 it is cut away
+    den = np.zeros(order + 1, dtype=complex)
+    den[0] = 1
+    for a in tower.gamma[:0:-1]:
+        num, den = num + a * den, den + a.conjugate() * num
+        num = np.concatenate(([0j], num[:-1]))
+    a = tower.gamma[0]
+    num, den = num + a * den, den + a.conjugate() * num
+    return series_mul(
+        ComplexSeries(tuple(num.tolist())), series_reciprocal(ComplexSeries(tuple(den.tolist())))
+    )

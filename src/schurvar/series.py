@@ -10,16 +10,14 @@ These are the building blocks behind the Blaschke-tower Taylor
 expansion and the extremal-coefficient pipeline.  Products are numpy
 convolutions, composition is Horner's rule on one numpy array, the
 reciprocal is Newton's iteration (Brent & Kung 1978), and exp takes one
-numpy dot per coefficient.  schur applies a Moebius level as
-(s + a) * (1 + conj(a) s)^-1: one reciprocal, one product, no general
-composition.
+numpy dot per coefficient.  schur expands a whole tower as one quotient
+num/den and finishes it with one reciprocal and one product.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +28,6 @@ __all__ = [
     "series_compose",
     "series_exp",
 ]
-
-DEFAULT_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -71,31 +67,9 @@ class ComplexSeries:
             c = c + (0j,) * (order + 1 - len(c))
         return ComplexSeries(c)
 
-    def __mul__(self, other: "ComplexSeries") -> "ComplexSeries":
-        return series_mul(self, other)
-
-    @staticmethod
-    def constant(value: complex, order: int = DEFAULT_ORDER) -> "ComplexSeries":
-        return ComplexSeries((complex(value),) + (0j,) * order)
-
-    @staticmethod
-    def identity(order: int = DEFAULT_ORDER) -> "ComplexSeries":
-        """The series of z itself, materialized at the given order."""
-        if order < 1:
-            raise ValueError("identity needs order >= 1")
-        return ComplexSeries((0j, 1 + 0j) + (0j,) * (order - 1))
-
-
-def _coerce(s: ComplexSeries | Sequence[complex]) -> ComplexSeries:
-    if isinstance(s, ComplexSeries):
-        return s
-    return ComplexSeries(tuple(s))
-
 
 def series_mul(a: ComplexSeries, b: ComplexSeries) -> ComplexSeries:
     """Cauchy product truncated to the smaller order of the operands."""
-    a = _coerce(a)
-    b = _coerce(b)
     n = min(a.order, b.order)
     out = np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])[: n + 1]
     return ComplexSeries(tuple(out.tolist()))
@@ -113,7 +87,6 @@ def series_reciprocal(a: ComplexSeries) -> ComplexSeries:
     ValueError
         If the constant coefficient vanishes ("non-invertible series").
     """
-    a = _coerce(a)
     if a.coeffs[0] == 0:
         raise ValueError("non-invertible series")
     c = np.asarray(a.coeffs)
@@ -140,8 +113,6 @@ def series_compose(outer: ComplexSeries, inner: ComplexSeries) -> ComplexSeries:
     ValueError
         If ``inner[0] != 0`` ("composition requires inner(0)=0").
     """
-    outer = _coerce(outer)
-    inner = _coerce(inner)
     if inner.coeffs[0] != 0:
         raise ValueError("composition requires inner(0)=0")
     n = min(outer.order, inner.order)
@@ -160,7 +131,6 @@ def series_exp(a: ComplexSeries) -> ComplexSeries:
     p E_p = sum_{l=1..p} l a_l E_{p-l}, seeded with E_0 = exp(a_0);
     each step is one numpy dot against the coefficients found so far.
     """
-    a = _coerce(a)
     la = np.arange(len(a)) * np.asarray(a.coeffs)
     out = np.empty(len(a), dtype=complex)
     out[0] = cmath.exp(a.coeffs[0])

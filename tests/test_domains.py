@@ -20,7 +20,9 @@ from schurvar import (
     Janowski,
     Sector,
     make_domain,
+    series_mul,
 )
+from schurvar.cli import parse_domain
 
 _rng = np.random.default_rng(3)
 RNG_POINTS = [
@@ -64,7 +66,7 @@ def test_halfplane_alpha_validation():
 def test_sector_square_recovers_full_angle():
     half = Sector(0.5).taylor(8)
     full = Sector(1.0).taylor(8)
-    sq = half * half
+    sq = series_mul(half, half)
     assert max(abs(a - b) for a, b in zip(sq.coeffs, full.coeffs)) <= 1e-12
     assert max(abs(a - b) for a, b in zip(full.coeffs, HalfPlane().taylor(8).coeffs)) <= 1e-12
 
@@ -211,6 +213,32 @@ def test_make_domain_rejects_unknown():
 def test_spec_string_identifies_domain():
     assert HalfPlane(0.5).spec_string() == "halfplane:alpha=0.5"
     assert ConicSection(1.0).spec_string() == "kucv:k=1"
+    assert Sector(0.1234567).spec_string() == "sector:beta=0.1234567"
+
+
+def test_spec_string_parses_back_to_every_parameter_exactly():
+    # An error message that names a domain by its spec must name the
+    # very domain that failed, so the spec keeps every bit.
+    rng = np.random.default_rng(13)
+
+    def params(d):
+        return {k: v for k, v in vars(d).items() if not k.startswith("_")}
+
+    for i in range(300):
+        u = rng.uniform(size=6)
+        scale = 10.0 ** int(rng.integers(-12, 3))
+        a = scale * complex(*rng.standard_normal(2))
+        b = u[3] * cmath.exp(2j * math.pi * u[4])
+        if i % 2:
+            a, b = a.real, b.real
+        for d in (
+            HalfPlane(min(scale * (2 * u[0] - 1), 0.99)),
+            Sector(1 - u[1]),
+            Janowski(a, b),
+            ConicSection(u[5]),
+        ):
+            back = make_domain(parse_domain(d.spec_string()))
+            assert type(back) is type(d) and params(back) == params(d), d.spec_string()
 
 
 def test_conic_taylor_reaches_order_64():

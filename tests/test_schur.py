@@ -20,6 +20,7 @@ from schurvar import (
     tower_eval,
     tower_taylor,
 )
+from schurvar import schur
 
 
 # Three data vectors exercising all three classification branches.
@@ -293,6 +294,50 @@ def test_tower_taylor_matches_eval():
         val = sum(c * z**p for p, c in enumerate(s.coeffs))
         # Tail below 0.05^17: the expanded map is bounded by one.
         assert abs(val - tower_eval(tower, z)) <= 1e-13
+
+
+def _mobius_chain(gamma, z, w):
+    for a in gamma[:0:-1]:
+        w = z * mobius_eval(a, w)
+    return mobius_eval(gamma[0], w)
+
+
+def test_climb_equals_the_mobius_eval_chain_bit_for_bit():
+    # The inline climb keeps mobius_eval's arithmetic and its order, so
+    # every trace and membership value stays the same to the bit, also
+    # next to the poles: |gamma| up to 1 - 1e-9, unimodular leaves.
+    rng = np.random.default_rng(41)
+    for depth in range(1, 7):
+        for _ in range(20):
+            mod = 1 - 10.0 ** rng.uniform(-9, 0, depth)
+            mod[rng.integers(depth)] = 1 - 1e-9
+            gamma = tuple(complex(v) for v in mod * np.exp(2j * np.pi * rng.uniform(size=depth)))
+            z = np.sqrt(rng.uniform(size=(15, 4))) * np.exp(2j * np.pi * rng.uniform(size=(15, 4)))
+            w = np.exp(2j * np.pi * rng.uniform(size=(15, 4)))
+            assert np.array_equal(schur._climb(gamma, z, w), _mobius_chain(gamma, z, w))
+            for zi, wi in zip(z[:, 0].tolist(), w[:, 0].tolist()):
+                assert schur._climb(gamma, zi, wi) == _mobius_chain(gamma, zi, wi)
+
+
+def test_tower_taylor_low_orders_truncate_the_high_order_series():
+    # num and den are cut to order + 1 coefficients at every level; a
+    # cut that dropped a needed term would move a low-order coefficient.
+    tower = BlaschkeTower(
+        (0.3 - 0.2j, 0.5j, -0.4, 0.2 + 0.6j, 0.7, -0.1 - 0.3j), cmath.exp(0.7j)
+    )
+    full = tower_taylor(tower, 32).coeffs
+    for order in range(9):
+        s = tower_taylor(tower, order)
+        assert s.order == order
+        assert max(abs(a - b) for a, b in zip(s.coeffs, full)) <= 1e-15
+
+
+def test_tower_taylor_divides_once(monkeypatch):
+    calls = []
+    reciprocal = schur.series_reciprocal
+    monkeypatch.setattr(schur, "series_reciprocal", lambda a: calls.append(a) or reciprocal(a))
+    tower_taylor(BlaschkeTower((0.3, -0.2j, 0.5, 0.1 + 0.1j), 1), 16)
+    assert len(calls) == 1
 
 
 def test_tower_coefficients_bounded_by_one():

@@ -49,12 +49,6 @@ def test_mul_by_zero_annihilates():
     assert series_mul(z, ComplexSeries((1, 2, 3))).coeffs == (0j,)
 
 
-def test_operator_overloads_match_functions():
-    a = ComplexSeries((1, 2j, 3))
-    b = ComplexSeries((2, -1, 0.5))
-    assert (a * b).coeffs == series_mul(a, b).coeffs
-
-
 def test_reciprocal_hand_value():
     # 1/(1 + z + z^2) = 1 - z + z^3 - ...
     r = series_reciprocal(ComplexSeries((1, 1, 1)))
@@ -87,7 +81,7 @@ def test_compose_hand_values():
 
 def test_compose_identity_is_noop():
     outer = ComplexSeries((2, -1, 0.5, 1j))
-    assert series_compose(outer, ComplexSeries.identity(3)).coeffs == outer.coeffs
+    assert series_compose(outer, ComplexSeries((0, 1, 0, 0))).coeffs == outer.coeffs
 
 
 def test_compose_requires_vanishing_inner_constant():
@@ -96,7 +90,7 @@ def test_compose_requires_vanishing_inner_constant():
 
 
 def test_exp_matches_exponential_series():
-    e = series_exp(ComplexSeries.identity(10))
+    e = series_exp(ComplexSeries((0, 1) + (0,) * 9))
     expected = [1 / math.factorial(k) for k in range(11)]
     assert coeffs_close(e, expected, 1e-15)
 
@@ -125,12 +119,9 @@ def test_truncated_pads_and_cuts():
 
 
 def test_constructors_and_validation():
-    assert ComplexSeries.constant(2j, 3).coeffs == (2j, 0j, 0j, 0j)
-    assert ComplexSeries.identity(2).coeffs == (0j, 1 + 0j, 0j)
+    assert ComplexSeries((2j, 0, 0.5)).coeffs == (2j, 0j, 0.5 + 0j)
     with pytest.raises(ValueError):
         ComplexSeries(())
-    with pytest.raises(ValueError):
-        ComplexSeries.identity(0)
     with pytest.raises(ValueError):
         ComplexSeries((1,)).truncated(-1)
 
