@@ -13,6 +13,13 @@ Taylor coefficients alpha1, alpha2 of P at 0.  The catalog:
                1 + (2/pi^2) log((1+sqrt z)/(1-sqrt z))^2.  The k > 1
                elliptic branch is not implemented.
 
+The sector and conic maps are evaluated in real float64 arithmetic
+through one kernel, the real and imaginary parts of
+ell(x) = log((1+x)/(1-x)) = 2 artanh x for |x| < 1: the sector takes
+ell(z) and forms exp(b ell), the conic map takes ell at the principal
+sqrt z and forms cosh(A_k ell) or ell^2 from their real parts.  numpy's
+complex log, exp, sqrt and cosh cost several times more per element.
+
 Taylor coefficients are closed-form (geometric/binomial series) except
 for the conic map, whose coefficients are extracted numerically from
 samples on a circle |z| = r, r = 1/2 up to order 9 and growing with
@@ -64,7 +71,7 @@ class DomainMap:
 
     def eval(self, z: complex | np.ndarray) -> complex | np.ndarray:
         """P(z) at a point, or elementwise on an array, of the open disk."""
-        if np.any(np.abs(z) >= 1):
+        if not np.all(np.abs(z) < 1):
             raise ValueError("domain map argument must satisfy |z| < 1")
         w = self._eval(np.asarray(z, dtype=complex))
         return w if np.ndim(z) else complex(w)
@@ -136,8 +143,10 @@ class Sector(DomainMap):
         return complex(2 * self.beta * self.beta)
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
-        w = (1 + z) / (1 - z)
-        return np.exp(self.beta * np.log(w))
+        re, im = _ell(z.real, z.imag)
+        m = np.exp(self.beta * re)
+        im *= self.beta
+        return _pack(m * np.cos(im), m * np.sin(im))
 
     def _taylor(self, order: int) -> ComplexSeries:
         # (1+z)^b * (1-z)^{-b}: product of two binomial series.
@@ -220,14 +229,27 @@ class ConicSection(DomainMap):
         return self.taylor(2).coeffs[2]
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
-        # Principal branches of sqrt and log, as in the scalar formula.
-        r = np.sqrt(z)
-        ell = np.log((1 + r) / (1 - r))
+        # ell at the principal sqrt z = p + iq, with t = sqrt((|x| + |z|)/2)
+        # for z = x + iy: (t, y/2t) if x >= 0, else (|y|/2t, copysign(t, y)).
+        # t is 0 only at z = 0 or a subnormal z; flooring it at the least
+        # normal float keeps y/2t finite there, far below P's rounding.
+        x, y = z.real, z.imag
+        t = np.sqrt((np.abs(x) + np.abs(z)) / 2)
+        s = y / (2 * np.maximum(t, _TINY))
+        right = x >= 0
+        p = np.where(right, t, np.abs(s))
+        re, im = _ell(p, np.where(right, s, np.copysign(t, y)))
         if self.k == 1:
-            return 1 + (2 / math.pi**2) * ell * ell
+            c = 2 / math.pi**2
+            return _pack(1 + c * (re * re - im * im), 2 * c * re * im)
         k2 = self.k * self.k
         a = 2 / math.pi * math.acos(self.k)
-        return (np.cosh(a * ell) - k2) / (1 - k2)
+        re *= a
+        im *= a
+        return _pack(
+            (np.cosh(re) * np.cos(im) - k2) / (1 - k2),
+            np.sinh(re) * np.sin(im) / (1 - k2),
+        )
 
     def _taylor(self, order: int) -> ComplexSeries:
         # Discrete Cauchy coefficients from samples on |z| = r, doubling
@@ -257,6 +279,31 @@ class ConicSection(DomainMap):
 
     def spec_string(self) -> str:
         return f"kucv:k={_fmt_real(self.k)}"
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _ell(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of log((1+x)/(1-x)) = 2 artanh x, x = p + iq.
+
+    For |x| < 1, Re = sign(p) log1p(4|p| / ((1-|p|)^2 + q^2)) / 2 and
+    Im = atan2(2q, (1-p)(1+p) - q^2) (Kahan, "Branch cuts for complex
+    elementary functions", 1987).  Re is odd in p; taking |p| keeps the
+    log1p argument >= 0, where the plain log1p(4p/((1-p)^2 + q^2))
+    cancels as x -> -1.  The denominator is >= (1 - |x|)^2 > 0.
+    """
+    ap = np.abs(p)
+    q2 = q * q
+    re = np.copysign(0.5 * np.log1p(4 * ap / ((1 - ap) ** 2 + q2)), p)
+    return re, np.arctan2(2 * q, (1 - p) * (1 + p) - q2)
+
+
+def _pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def _fmt_real(x: float) -> str:

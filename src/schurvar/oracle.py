@@ -103,7 +103,7 @@ def h_transform(
     z = complex(z)
     if z == 0:
         raise ValueError("argument must be nonzero")
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         raise ValueError("argument must satisfy |z| < 1")
     root = z if n == 1 else z ** (1.0 / n)
 
@@ -135,7 +135,7 @@ class AdmissibleSampler:
         object.__setattr__(
             self, "gamma", tuple(complex(v) for v in self.gamma)
         )
-        if any(abs(v) >= 1 for v in self.gamma):
+        if not all(abs(v) < 1 for v in self.gamma):
             raise ValueError("tower parameters must have modulus < 1")
         if self.blaschke_degree < 0:
             raise ValueError("blaschke_degree must be >= 0")

@@ -89,7 +89,7 @@ def _q(
     if not np.all((0 < np.abs(z0)) & (np.abs(z0) < 1)):
         raise ValueError("z0 must satisfy 0 < |z0| < 1")
     gamma = tuple(complex(v) for v in gamma)
-    if not gamma or any(abs(v) >= 1 for v in gamma):
+    if not gamma or not all(abs(v) < 1 for v in gamma):
         raise ValueError("tower parameters must be given, each of modulus < 1")
     base = domain.eval(gamma[0])
 
@@ -134,7 +134,7 @@ def _q_eps(
 ) -> np.ndarray:
     """_q over the extremal leaves eps * zeta, one column per entry of eps."""
     eps = np.asarray(eps, dtype=complex)
-    if np.any(np.abs(eps) > 1 + 1e-12):
+    if not np.all(np.abs(eps) <= 1 + 1e-12):
         raise ValueError("leaf parameter must satisfy |eps| <= 1")
     return _q(
         domain, gamma, j, z0, lambda zeta, cols: eps[cols] * zeta, cfg,

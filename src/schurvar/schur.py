@@ -248,10 +248,10 @@ class BlaschkeTower:
         if len(self.gamma) == 0:
             raise ValueError("tower needs at least gamma_0")
         g = tuple(complex(v) for v in self.gamma)
-        if any(abs(v) >= 1 for v in g):
+        if not all(abs(v) < 1 for v in g):
             raise ValueError("tower parameters must have modulus < 1")
         e = complex(self.epsilon)
-        if abs(e) > 1 + 1e-12:
+        if not abs(e) <= 1 + 1e-12:
             raise ValueError("leaf parameter must satisfy |eps| <= 1")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "epsilon", e)

@@ -185,7 +185,7 @@ def extremal_f_eval(
     z = complex(z)
     if z == 0:
         return 0j
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         raise ValueError("argument must satisfy |z| < 1")
     tower = BlaschkeTower((0j,) + tuple(gamma), eps)
 

@@ -178,6 +178,16 @@ def test_eval_outside_disk_rejected():
             d.eval(1.5j)
 
 
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0.5, math.nan), complex(math.inf, 0)])
+def test_eval_rejects_non_finite_argument(bad):
+    # |nan| >= 1 is False, so the guard must be written as not |z| < 1.
+    for d in (HalfPlane(), Sector(0.5), Janowski(2, -1), ConicSection(0.5)):
+        with pytest.raises(ValueError):
+            d.eval(bad)
+        with pytest.raises(ValueError):
+            d.eval(np.array([0.1, bad]))
+
+
 def test_taylor_memoized_and_consistent():
     d = Sector(0.7)
     assert d.taylor(5) is d.taylor(5)

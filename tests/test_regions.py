@@ -125,6 +125,16 @@ def test_q_point_validation():
         q_point(HP, (0j,), -1, 1.0, 1.0)
 
 
+def test_q_point_rejects_non_finite_parameters_before_integrating():
+    nan = complex("nan")
+    with pytest.raises(ValueError, match="modulus < 1"):
+        q_point(HP, (nan,), -1, 0.5, 1.0)
+    with pytest.raises(ValueError, match="modulus < 1"):
+        q_point(HP, (0j, nan), -1, 0.5, 1.0)
+    with pytest.raises(ValueError, match="eps"):
+        q_point(HP, (0j,), -1, 0.5, nan)
+
+
 def test_q_point_vanishes_with_endpoint():
     assert abs(q_point(HP, (0.3,), -1, 1e-6, 1.0)) < 1e-5
 

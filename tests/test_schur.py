@@ -359,6 +359,15 @@ def test_tower_equality_and_hash():
     assert BlaschkeTower((0.3,), 0.5) != BlaschkeTower((0.3,), 0.5j)
 
 
+def test_tower_rejects_non_finite_parameters():
+    with pytest.raises(ValueError):
+        BlaschkeTower((complex("nan"),), 1.0)
+    with pytest.raises(ValueError):
+        BlaschkeTower((0.3, complex(0, np.nan)), 1.0)
+    with pytest.raises(ValueError):
+        BlaschkeTower((0.3,), complex("nan"))
+
+
 def test_tower_rejects_array_leaf():
     with pytest.raises(TypeError):
         BlaschkeTower((0.3,), np.array([1, 1j]))

@@ -188,6 +188,11 @@ def test_extremal_order_validation():
         extremal_coefficients(HP, (0.3,), 1.0, 2)
 
 
+def test_extremal_f_eval_rejects_non_finite_argument():
+    with pytest.raises(ValueError, match=r"\|z\| < 1"):
+        extremal_f_eval(HP, (0.3,), 1.0, complex("nan"))
+
+
 def test_extremal_f_eval_normalization():
     assert extremal_f_eval(HP, (0.3,), 1.0, 0) == 0j
     f = extremal_f_eval(HP, (0.3,), 1.0, 1e-4)
