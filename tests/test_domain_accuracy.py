@@ -4,8 +4,8 @@ Both maps run in float64 through the real kernel ``domains._ell``; the
 reference takes mpmath's complex power, sqrt, log and cosh at 40 digits
 at the same (exact) float input, so it shares no code with the kernel.
 The error is |P - P*| / max(1, |P*|).  Bounds, fixed from a measurement
-over 4,000 disk points, 2,000 points in each band and 100 points per
-sign on the negative axis (numpy 2.4.6):
+over 4,000 disk points, 2,000 points in each band, 50 points per sign
+on the negative axis and 3,000 more rim points for kucv (numpy 2.4.6):
 
 - sector, beta in {0.1, 0.5, 1}, everywhere up to |z| = 1 - 1e-9:
   1e-15 (measured at most 5.6e-16);

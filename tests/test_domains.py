@@ -171,21 +171,14 @@ def test_conic_validation():
 
 
 def test_eval_outside_disk_rejected():
+    # |nan| >= 1 is False: NaN must fail the guard too.
+    bad = (1.0, 1.5j, complex("nan"), complex(0.5, math.nan))
     for d in (HalfPlane(), Sector(0.5), Janowski(2, -1), ConicSection(0.5)):
-        with pytest.raises(ValueError):
-            d.eval(1.0)
-        with pytest.raises(ValueError):
-            d.eval(1.5j)
-
-
-@pytest.mark.parametrize("bad", [complex("nan"), complex(0.5, math.nan), complex(math.inf, 0)])
-def test_eval_rejects_non_finite_argument(bad):
-    # |nan| >= 1 is False, so the guard must be written as not |z| < 1.
-    for d in (HalfPlane(), Sector(0.5), Janowski(2, -1), ConicSection(0.5)):
-        with pytest.raises(ValueError):
-            d.eval(bad)
-        with pytest.raises(ValueError):
-            d.eval(np.array([0.1, bad]))
+        for z in bad:
+            with pytest.raises(ValueError):
+                d.eval(z)
+            with pytest.raises(ValueError):
+                d.eval(np.array([0.1, z]))
 
 
 def test_taylor_memoized_and_consistent():

@@ -104,6 +104,8 @@ def test_h_transform_validation():
         h_transform(HP, 0, 0, 0.5)
     with pytest.raises(ValueError):
         h_transform(HP, 0, 1, 0.0)
+    with pytest.raises(ValueError, match=r"\|z\| < 1"):
+        h_transform(HP, 0, 1, complex("nan"))
     with pytest.raises(ValueError):
         h_transform(HP, 0, 1, 1.5)
 
@@ -153,11 +155,6 @@ def test_sampler_validation():
         AdmissibleSampler(gamma=(0.5,), blaschke_degree=-1, seed=0)
     with pytest.raises(ValueError):
         AdmissibleSampler(gamma=(complex("nan"),), blaschke_degree=1, seed=0)
-
-
-def test_h_transform_rejects_non_finite_argument():
-    with pytest.raises(ValueError, match=r"\|z\| < 1"):
-        h_transform(HP, 0, 1, complex("nan"))
 
 
 def test_membership_trial_all_inside():

@@ -260,6 +260,11 @@ def test_tower_validation():
         BlaschkeTower((1.0,), 0.5)
     with pytest.raises(ValueError):
         BlaschkeTower((0.5,), 1.1)
+    # |nan| >= 1 is False: NaN must fail the guards too.
+    with pytest.raises(ValueError):
+        BlaschkeTower((0.3, complex(0, np.nan)), 1.0)
+    with pytest.raises(ValueError):
+        BlaschkeTower((0.3,), complex("nan"))
     BlaschkeTower((0.5,), 1.0)  # unimodular leaf multiplier is allowed
 
 
@@ -357,15 +362,6 @@ def test_tower_equality_and_hash():
     assert BlaschkeTower((0.3,), 0.5) == BlaschkeTower((0.3 + 0j,), 0.5 + 0j)
     assert hash(BlaschkeTower((0.3,), 0.5)) == hash(BlaschkeTower((0.3 + 0j,), 0.5 + 0j))
     assert BlaschkeTower((0.3,), 0.5) != BlaschkeTower((0.3,), 0.5j)
-
-
-def test_tower_rejects_non_finite_parameters():
-    with pytest.raises(ValueError):
-        BlaschkeTower((complex("nan"),), 1.0)
-    with pytest.raises(ValueError):
-        BlaschkeTower((0.3, complex(0, np.nan)), 1.0)
-    with pytest.raises(ValueError):
-        BlaschkeTower((0.3,), complex("nan"))
 
 
 def test_tower_rejects_array_leaf():
