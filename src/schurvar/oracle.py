@@ -16,7 +16,9 @@ a different claim (functions that are not extremal land inside the
 region), so it shares the kernel on purpose, with Blaschke leaves in
 place of the extremal ones.  All leaves of a case are drawn first, from
 one seeded stream in which row t (fixed by the seed and t) belongs to
-trial t; one kernel call integrates every trial.
+trial t; one kernel call integrates every trial.  The region is convex,
+so only the integrals that may be vertices of their convex hull are
+measured against the polygon, unless one of them fails.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, integrate_segment
 # q_point and mobius_eval stay importable here (bench/tracing.py patches them).
-from .regions import _q, _q_eps, _thetas, polygon_signed_distance, q_point  # noqa: F401
+from .regions import _next, _q, _q_eps, _thetas, polygon_signed_distance, q_point  # noqa: F401
 from .schur import _climb, mobius_eval  # noqa: F401
 
 __all__ = [
@@ -197,6 +199,42 @@ def sample_admissible(
     )
 
 
+# Rows (cos, sin) of the directions 2 pi k / 16 whose extreme trial values
+# span the throw-away polygon E of _hull_candidates (Akl & Toussaint 1978).
+_DIRECTIONS = np.exp(2j * np.pi * np.arange(16) / 16).view(float).reshape(16, 2)
+# How far inside E, relative to the largest coordinate in play, a value
+# must lie to be discarded: hundreds of times the rounding of a signed
+# distance.
+_SLACK = 1e-12
+
+
+def _hull_candidates(values: np.ndarray, scale: float) -> np.ndarray:
+    """Indices of the values that may be vertices of their convex hull.
+
+    E joins, in turn, the values extreme in each of the _DIRECTIONS, a
+    run of one value taken once.  A value more than _SLACK * scale to
+    the left of every edge of E is no hull vertex: for each point w of
+    the disk of that radius about it, the argument of v - w rises as v
+    runs along any edge of the closed path E, so E winds around w and
+    the disk lies inside the hull.  Every other value is a candidate;
+    with fewer than three distinct extremes, all are.
+    """
+    if len(values) < 3:
+        return np.arange(len(values))
+    xy = np.ascontiguousarray(values).view(float).reshape(-1, 2)
+    ext = np.argmax(_DIRECTIONS @ xy.T, axis=1)
+    ext = ext[ext != _next(ext)]
+    if len(ext) < 3:
+        return np.arange(len(values))
+    a = values[ext]
+    d = _next(a) - a
+    # The cross Im(conj(d_k) (v - a_k)), positive left of edge k, is
+    # n_k . v - Im(conj(d_k) a_k) with n_k = i d_k as a real pair.
+    n = (1j * d).view(float).reshape(-1, 2)
+    least = (np.conj(d) * a).imag + _SLACK * scale * np.abs(d)
+    return np.flatnonzero(~np.all(n @ xy.T > least[:, None], axis=0))
+
+
 @dataclass(frozen=True)
 class MembershipReport:
     """Aggregate of a Monte-Carlo membership run."""
@@ -227,9 +265,21 @@ def membership_trial(
     so the counts do not depend on evaluation order and ``trials=k``
     runs the first k trials of any longer run.  All leaves are drawn
     first; then one region-kernel call, one column per trial, integrates
-    zeta^j (g - g(0)) along [0, z0], and one distance call tests each
-    integral against the polygon inflated by ``inflation``.  The kernel
-    checks gamma, j and z0, and a quadrature failure names the trials.
+    zeta^j (g - g(0)) along [0, z0], and the integrals are tested
+    against the polygon inflated by ``inflation``.  The kernel checks
+    gamma, j and z0, and a quadrature failure names the trials.
+
+    The test measures only the candidates of _hull_candidates.  The
+    polygon is convex, as polygon_signed_distance requires, so the
+    signed distance is a convex function of the query: its largest
+    value over the integrals is taken at a vertex of their hull, and if
+    every candidate lies within ``inflation``, so does every integral.
+    The distance changes at unit rate, so a discarded integral, deeper
+    inside the hull than _SLACK times the largest coordinate, lies
+    below the largest distance by more than that: hundreds of times the
+    rounding of a distance, so the report is the one every distance
+    gives, bit for bit.  If a candidate fails, every integral is
+    measured and each failure reported.
 
     Note on degrees: degree 0 produces an extremal tower whose integral
     lies exactly ON the region boundary; against a chordal polygon it
@@ -250,6 +300,11 @@ def membership_trial(
         lambda cols: f"trials {list(cols[:4])}",
     )
     pts = _q_eps(domain, gamma, j, z0, np.exp(1j * _thetas(samples)), cfg)
+    keep = _hull_candidates(values, np.max(np.abs(np.concatenate((values, pts)).view(float))))
+    if len(keep) < trials:
+        top = float(np.max(polygon_signed_distance(pts, values[keep])))
+        if top <= inflation:
+            return MembershipReport(trials, trials, top, ())
     dist = polygon_signed_distance(pts, values)
     outside = np.flatnonzero(~(dist <= inflation)).tolist()
     return MembershipReport(

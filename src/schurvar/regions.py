@@ -298,7 +298,7 @@ def region_compute(req: RegionRequest) -> RegionResult:
         return RegionResult.single_point(w0, sp)
     thetas = _thetas(req.samples)
     pts = _q_eps(req.domain, sp.gamma, req.j, req.z0, np.exp(1j * thetas), req.quad)
-    if np.any(pts == np.roll(pts, -1)):
+    if np.any(pts == _next(pts)):
         raise RuntimeError("trace degenerate")
     poly = RegionPolygon(
         points=pts,
@@ -316,6 +316,11 @@ def _points_array(poly) -> np.ndarray:
     return np.asarray(poly, dtype=complex)
 
 
+def _next(p: np.ndarray) -> np.ndarray:
+    """p_{k+1} for each k, cyclically: np.roll(p, -1) without its Python overhead."""
+    return np.concatenate((p[1:], p[:1]))
+
+
 def polygon_convexity(poly, tol: float = 1e-9) -> bool:
     """Whether the closed polygon turns consistently one way.
 
@@ -324,9 +329,9 @@ def polygon_convexity(poly, tol: float = 1e-9) -> bool:
     zero, which absorbs quadrature noise on nearly-straight stretches.
     """
     p = _points_array(poly)
-    e = np.roll(p, -1) - p
+    e = _next(p) - p
     scale = float(np.mean(np.abs(e))) ** 2
-    cross = np.imag(np.conj(e) * np.roll(e, -1))
+    cross = np.imag(np.conj(e) * _next(e))
     band = tol * scale
     has_pos = bool(np.any(cross > band))
     has_neg = bool(np.any(cross < -band))
@@ -349,16 +354,18 @@ def polygon_signed_distance(poly, w: complex | np.ndarray) -> float | np.ndarray
     p = _points_array(poly)
     ws = np.asarray(w, dtype=complex)
     q = ws.reshape(-1)
-    e = np.roll(p, -1) - p
+    nxt = _next(p)
+    e = nxt - p
     keep = e != 0
     pk, ek = p[keep], e[keep]
-    if np.sum(np.imag(np.conj(p) * np.roll(p, -1))) < 0:
+    if np.sum(np.imag(np.conj(p) * nxt)) < 0:
         ek = -ek
     # A polygon without a nonzero edge is one point: every query lies outside.
     d = _line_distances(pk, ek, q) if len(ek) else np.full(len(q), -1.0)
     out = -d
     outside = ~(d >= 0)
-    out[outside] = _boundary_distances(p, q[outside])
+    if outside.any():
+        out[outside] = _boundary_distances(p, q[outside])
     return float(out[0]) if ws.ndim == 0 else out.reshape(ws.shape)
 
 
@@ -395,7 +402,7 @@ def _boundary_distances(p: np.ndarray, ws: np.ndarray) -> np.ndarray:
     The edges are built once; queries go in blocks of 32, so the
     (32 x m) temporaries stay small.
     """
-    e = np.roll(p, -1) - p
+    e = _next(p) - p
     ee = np.abs(e) ** 2
     ee = np.where(ee == 0, 1.0, ee)
     out = np.empty(ws.shape)

@@ -8,6 +8,7 @@ import pytest
 
 from schurvar import (
     AdmissibleSampler,
+    MembershipReport,
     ConicSection,
     HalfPlane,
     Janowski,
@@ -19,14 +20,20 @@ from schurvar import (
     gronwall_curve_point,
     h_transform,
     membership_trial,
+    polygon_signed_distance,
     q_point,
     region_compute,
     sample_admissible,
     schur_parameters,
 )
-from schurvar.oracle import _leaf_draws
+from schurvar import regions
+from schurvar.oracle import _blaschke_leaf, _hull_candidates, _leaf_draws
 
 HP = HalfPlane()
+CATALOG = (
+    HP, HalfPlane(0.5), Sector(0.5), Sector(0.1), Janowski(2, -1), Janowski(-2, -1),
+    Janowski(1, -1), ConicSection(0.5), ConicSection(1.0),
+)
 
 
 def test_curve_reduces_to_log_at_zero_slope():
@@ -286,3 +293,98 @@ def test_leaf_draws_cover_every_degree_inside_the_zero_disk():
     # A degree-d leaf uses exactly its first d factors.
     assert np.array_equal(used, np.arange(4)[:, None] < picked)
     assert np.all(np.abs(zeros) <= 0.9)
+
+
+def _hull_vertices(points: np.ndarray) -> set[int]:
+    """Indices of the strict convex-hull vertices (Andrew's monotone chain)."""
+    order = sorted(range(len(points)), key=lambda i: (points[i].real, points[i].imag))
+
+    def chain(idx):
+        out = []
+        for i in idx:
+            while len(out) >= 2:
+                a, b = points[out[-2]], points[out[-1]]
+                if ((b - a).conjugate() * (points[i] - a)).imag > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    return set(chain(order) + chain(order[::-1]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hull_candidates_keep_every_hull_vertex(seed):
+    rng = np.random.default_rng(seed)
+    cloud = rng.normal(size=300) + 1j * rng.normal(size=300)
+    ring = np.exp(2j * np.pi * rng.uniform(size=40))
+    segment = (1 + 2j) * rng.uniform(size=30) + 0.5
+    for values in (cloud, 3 + 1e-3 * cloud, ring, segment, np.concatenate((cloud, cloud))):
+        keep = set(_hull_candidates(values, np.max(np.abs(values.view(float)))).tolist())
+        assert _hull_vertices(values) <= keep
+    # Points in convex position are all candidates; a cloud keeps few.
+    assert len(_hull_candidates(ring, 1.0)) == len(ring)
+    assert len(_hull_candidates(cloud, 4.0)) < 40
+
+
+def _all_values_report(domain, gamma, j, z0, trials, seed, degrees=(1, 2, 3, 4), inflation=1e-6):
+    """The report, and every distance, with each trial value measured."""
+    phase, zeros, used = _leaf_draws(seed, trials, degrees)
+    values = regions._q(
+        domain, gamma, j, z0,
+        lambda zeta, cols: _blaschke_leaf(phase[cols], zeros[:, cols], used[:, cols], zeta), None, str,
+    )
+    pts = regions._q_eps(domain, gamma, j, z0, np.exp(1j * regions._thetas(256)), None)
+    dist = polygon_signed_distance(pts, values)
+    outside = np.flatnonzero(~(dist <= inflation)).tolist()
+    return MembershipReport(
+        trials - len(outside), trials, float(np.max(dist, initial=-math.inf)),
+        tuple((t, complex(values[t]), float(dist[t])) for t in outside),
+    ), dist
+
+
+MEMBERSHIP_MODES = {
+    "default": {},
+    "every value reported": {"inflation": -math.inf},
+    "extremal leaves": {"degrees": (0,), "inflation": 1e-9},
+}
+
+
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    dom = CATALOG[rng.integers(len(CATALOG))]
+    gamma = tuple(complex(*v) for v in rng.uniform(-0.4, 0.4, (rng.integers(1, 4), 2)))
+    z0 = rng.uniform(0.2, 0.95) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    return dom, gamma, int(rng.integers(-1, 2)), z0
+
+
+@pytest.mark.parametrize("mode", sorted(MEMBERSHIP_MODES))
+@pytest.mark.parametrize("seed", range(8))
+def test_membership_matches_every_value_measured(seed, mode):
+    # Only hull-vertex candidates are measured when they all pass; the
+    # report must still be the one every value's distance gives, bit
+    # for bit.
+    case = _random_case(seed)
+    want, _ = _all_values_report(*case, 60, seed, **MEMBERSHIP_MODES[mode])
+    assert membership_trial(*case, 60, seed, **MEMBERSHIP_MODES[mode]) == want
+
+
+@pytest.mark.parametrize("mode", sorted(MEMBERSHIP_MODES))
+@pytest.mark.parametrize("trials", [0, 1, 2, 3])
+def test_membership_few_trials_match_every_value_measured(trials, mode):
+    case = (Sector(0.5), (0.1 + 0.05j, 0.2 - 0.1j), -1, 0.4 * cmath.exp(0.4j))
+    want, _ = _all_values_report(*case, trials, 4, **MEMBERSHIP_MODES[mode])
+    assert membership_trial(*case, trials, 4, **MEMBERSHIP_MODES[mode]) == want
+
+
+def test_membership_one_failing_candidate_measures_every_value():
+    # An inflation between the two largest distances fails exactly the
+    # farthest value, a hull vertex and so a candidate.
+    case = (Janowski(2, -1), (0.2j, 0.1 - 0.3j), 0, 0.7 - 0.3j)
+    _, dist = _all_values_report(*case, 80, 3)
+    top, second = np.sort(dist)[-1:-3:-1]
+    assert second < top
+    inflation = (top + second) / 2
+    want, _ = _all_values_report(*case, 80, 3, inflation=inflation)
+    assert want.inside == 79 and len(want.failures) == 1
+    assert membership_trial(*case, 80, 3, inflation=inflation) == want
