@@ -8,10 +8,10 @@ import pytest
 
 from schurvar import (
     AdmissibleSampler,
-    MembershipReport,
     ConicSection,
     HalfPlane,
     Janowski,
+    MembershipReport,
     QuadratureConfig,
     QuadratureError,
     RegionRequest,
