@@ -21,8 +21,7 @@ import re
 import sys
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .domains import DomainSpec, make_domain
 from .oracle import gronwall_curve, h_transform, membership_trial
 from .quadrature import QuadratureError

@@ -29,11 +29,11 @@ the order beyond.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
+from ._lazy import np
 from .series import ComplexSeries, series_mul
 
 __all__ = [
@@ -281,7 +281,7 @@ class ConicSection(DomainMap):
         return f"kucv:k={_fmt_real(self.k)}"
 
 
-_TINY = np.finfo(float).tiny
+_TINY = sys.float_info.min
 
 
 def _ell(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,12 +24,12 @@ measured against the polygon, unless one of them fails.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, integrate_segment
 # q_point and mobius_eval stay importable here (bench/tracing.py patches them).
@@ -199,9 +199,14 @@ def sample_admissible(
     )
 
 
-# Rows (cos, sin) of the directions 2 pi k / 16 whose extreme trial values
-# span the throw-away polygon E of _hull_candidates (Akl & Toussaint 1978).
-_DIRECTIONS = np.exp(2j * np.pi * np.arange(16) / 16).view(float).reshape(16, 2)
+@functools.cache
+def _directions() -> np.ndarray:
+    """Rows (cos, sin) of the directions 2 pi k / 16 whose extreme trial
+    values span the throw-away polygon E of _hull_candidates (Akl &
+    Toussaint 1978)."""
+    return np.exp(2j * np.pi * np.arange(16) / 16).view(float).reshape(16, 2)
+
+
 # How far inside E, relative to the largest coordinate in play, a value
 # must lie to be discarded: hundreds of times the rounding of a signed
 # distance.
@@ -211,7 +216,7 @@ _SLACK = 1e-12
 def _hull_candidates(values: np.ndarray, scale: float) -> np.ndarray:
     """Indices of the values that may be vertices of their convex hull.
 
-    E joins, in turn, the values extreme in each of the _DIRECTIONS, a
+    E joins, in turn, the values extreme in each of the _directions, a
     run of one value taken once.  A value more than _SLACK * scale to
     the left of every edge of E is no hull vertex: for each point w of
     the disk of that radius about it, the argument of v - w rises as v
@@ -222,7 +227,7 @@ def _hull_candidates(values: np.ndarray, scale: float) -> np.ndarray:
     if len(values) < 3:
         return np.arange(len(values))
     xy = np.ascontiguousarray(values).view(float).reshape(-1, 2)
-    ext = np.argmax(_DIRECTIONS @ xy.T, axis=1)
+    ext = np.argmax(_directions() @ xy.T, axis=1)
     ext = ext[ext != _next(ext)]
     if len(ext) < 3:
         return np.arange(len(values))
@@ -279,7 +284,8 @@ def membership_trial(
     below the largest distance by more than that: hundreds of times the
     rounding of a distance, so the report is the one every distance
     gives, bit for bit.  If a candidate fails, every integral is
-    measured and each failure reported.
+    measured and each failure reported; at ``inflation=-inf`` (or NaN),
+    where none can pass, they are measured at once.
 
     Note on degrees: degree 0 produces an extremal tower whose integral
     lies exactly ON the region boundary; against a chordal polygon it
@@ -300,11 +306,12 @@ def membership_trial(
         lambda cols: f"trials {list(cols[:4])}",
     )
     pts = _q_eps(domain, gamma, j, z0, np.exp(1j * _thetas(samples)), cfg)
-    keep = _hull_candidates(values, np.max(np.abs(np.concatenate((values, pts)).view(float))))
-    if len(keep) < trials:
-        top = float(np.max(polygon_signed_distance(pts, values[keep])))
-        if top <= inflation:
-            return MembershipReport(trials, trials, top, ())
+    if inflation > -math.inf:
+        keep = _hull_candidates(values, np.max(np.abs(np.concatenate((values, pts)).view(float))))
+        if len(keep) < trials:
+            top = float(np.max(polygon_signed_distance(pts, values[keep])))
+            if top <= inflation:
+                return MembershipReport(trials, trials, top, ())
     dist = polygon_signed_distance(pts, values)
     outside = np.flatnonzero(~(dist <= inflation)).tolist()
     return MembershipReport(

@@ -32,10 +32,11 @@ on both routes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
+from ._lazy import np
 
 __all__ = ["QuadratureConfig", "QuadratureError", "integrate_segment"]
 
@@ -117,18 +118,21 @@ _WG15 = (
 )
 
 
-def _rule(xgk, wgk, wg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The whole rule on [-1, 1]: nodes, Kronrod weights and Kronrod
-    minus Gauss weights (the Gauss nodes sit at the odd positions)."""
+_PAIRS = {15: (_XGK15, _WGK15, _WG7), 31: (_XGK31, _WGK31, _WG15)}
+
+
+@functools.cache
+def _rule(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The whole k-node rule (k = 15 or 31) on [-1, 1]: nodes, Kronrod
+    weights and Kronrod minus Gauss weights (the Gauss nodes sit at the
+    odd positions)."""
+    xgk, wgk, wg = _PAIRS[k]
     x = np.concatenate([np.negative(xgk), xgk[-2::-1]])
     wk = np.concatenate([wgk, wgk[-2::-1]])
     wd = wk.copy()
     wd[1::2] -= wg + wg[-2::-1]
     return x, wk, wd
 
-
-_G7K15 = _rule(_XGK15, _WGK15, _WG7)
-_G15K31 = _rule(_XGK31, _WGK31, _WG15)
 
 # Budgets below this use G15/K31, the others G7/K15.
 _K31_BELOW = 1e-10
@@ -232,7 +236,7 @@ def integrate_segment(
         raise ValueError("array endpoints must be nonzero")
     segment = f"[0, {z_end}]" if one_end else "[0, z_end[c]]"
 
-    x, wk, wd = _G15K31 if min(cfg.abs_tol, cfg.rel_tol) < _K31_BELOW else _G7K15
+    x, wk, wd = _rule(31 if min(cfg.abs_tol, cfg.rel_tol) < _K31_BELOW else 15)
 
     def nodes(a: float, b: float, cols: slice | np.ndarray) -> np.ndarray:
         t = 0.5 * (a + b) + 0.5 * (b - a) * x

@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
 # tower_eval stays importable from this module (bench/tracing.py patches it here).

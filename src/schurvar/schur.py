@@ -42,8 +42,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .series import ComplexSeries, series_mul, series_reciprocal
 from .series import series_compose  # noqa: F401 (bench/tracing.py patches it here)
 

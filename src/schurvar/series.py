@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "ComplexSeries",

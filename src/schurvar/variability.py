@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._lazy import np
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, integrate_segment
 # k_primitive and q_point stay importable from this module (bench/tracing.py patches them here).

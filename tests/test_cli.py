@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -286,3 +287,82 @@ def test_byte_identical_reruns():
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.endswith(b"\n")
+
+
+SRC = Path(__file__).parents[1] / "src"
+
+
+def _fresh(*args):
+    """A fresh interpreter on this checkout's src/, as a cold launch."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_cold_schur_loads_no_numpy(capsys):
+    argv = ["schur", "--data=0.5,0.2-0.1i,0.3i"]
+    probe = (
+        "import runpy, sys\n"
+        f"sys.argv = ['schurvar', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('schurvar', run_name='__main__')\n"
+        "finally:\n"
+        "    print([m for m in sys.modules if m.startswith('numpy.')], file=sys.stderr)\n"
+    )
+    proc = _fresh("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[]"
+    code, out, _ = capture(capsys, argv)
+    assert code == 0 and proc.stdout == out
+
+
+def test_cold_region_matches_in_process(capsys):
+    argv = ["region", "--domain", "sector:beta=0.5", "--data", "0,0.3", "--j", "0",
+            "--z0", "0.6+0.2i", "--samples", "16"]
+    proc = _fresh("-m", "schurvar", *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = capture(capsys, argv)
+    assert code == 0 and proc.stdout == out
+
+
+def test_numpy_imported_first_is_used_as_is():
+    probe = (
+        "import types, numpy, schurvar._lazy\n"
+        "assert schurvar._lazy.np is numpy and type(numpy) is types.ModuleType\n"
+    )
+    proc = _fresh("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Each hides numpy from a fresh interpreter before schurvar is imported.
+NUMPY_BLOCKERS = {
+    "meta_path finder": (
+        "class Hide:\n"
+        "    def __init__(self, finders):\n"
+        "        self.finders = finders\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'numpy':\n"
+        "            return None\n"
+        "        specs = (f.find_spec(name, path, target) for f in self.finders)\n"
+        "        return next((s for s in specs if s is not None), None)\n"
+        "sys.meta_path[:] = [Hide(list(sys.meta_path))]\n"
+        "assert importlib.util.find_spec('numpy') is None\n"
+    ),
+    "None in sys.modules": "sys.modules['numpy'] = None\n",
+}
+
+
+@pytest.mark.parametrize("blocker", sorted(NUMPY_BLOCKERS))
+def test_missing_numpy_fails_at_import(blocker):
+    # Loudly, at import schurvar, and not as an AttributeError at first use.
+    probe = (
+        "import importlib.util, sys\n"
+        + NUMPY_BLOCKERS[blocker]
+        + "try:\n"
+        "    import schurvar\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)\n"
+    )
+    proc = _fresh("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "numpy\n"

@@ -26,7 +26,7 @@ from schurvar import (
     sample_admissible,
     schur_parameters,
 )
-from schurvar import regions
+from schurvar import oracle, regions
 from schurvar.oracle import _blaschke_leaf, _hull_candidates, _leaf_draws
 
 HP = HalfPlane()
@@ -388,3 +388,19 @@ def test_membership_one_failing_candidate_measures_every_value():
     want, _ = _all_values_report(*case, 80, 3, inflation=inflation)
     assert want.inside == 79 and len(want.failures) == 1
     assert membership_trial(*case, 80, 3, inflation=inflation) == want
+
+
+def test_membership_at_minus_inf_inflation_measures_once(monkeypatch):
+    # No value can pass at inflation -inf, so no candidates are picked
+    # and measured before every value is.
+    calls = []
+
+    def counting(poly, w):
+        calls.append(len(w))
+        return polygon_signed_distance(poly, w)
+
+    monkeypatch.setattr(oracle, "polygon_signed_distance", counting)
+    case = (Sector(0.5), (0.1 + 0.05j, 0.2 - 0.1j), -1, 0.4 * cmath.exp(0.4j))
+    report = membership_trial(*case, 200, 4, inflation=-math.inf)
+    assert calls == [200]
+    assert report.inside == 0 and len(report.failures) == 200

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from schurvar import QuadratureConfig, QuadratureError, Sector, integrate_segment, q_point
-from schurvar.quadrature import _G7K15, _G15K31
+from schurvar.quadrature import _rule
 from schurvar.regions import _q_eps
 
 # (rule, Gauss order, degree of exactness of the Kronrod weights)
-RULES = [(_G7K15, 7, 22), (_G15K31, 15, 46)]
+RULES = [(_rule(15), 7, 22), (_rule(31), 15, 46)]
 
 
 @pytest.mark.parametrize("rule, n, degree", RULES, ids=["G7K15", "G15K31"])
