@@ -20,10 +20,12 @@ ell(z) and forms exp(b ell), the conic map takes ell at the principal
 sqrt z and forms cosh(A_k ell) or ell^2 from their real parts.  numpy's
 complex log, exp, sqrt and cosh cost several times more per element.
 
-Taylor coefficients are closed-form (geometric/binomial series) except
-for the conic map, whose coefficients are extracted numerically from
-samples on a circle |z| = r, r = 1/2 up to order 9 and growing with
-the order beyond.
+Every map's Taylor series is closed form, and alpha1, alpha2 are read
+off it: geometric series for the Moebius maps, exp(b ell) for the
+sector with ell(z) = sum over odd p of 2 z^p / p, and for the conic map
+a composition with u(z) = ell(sqrt z)^2 = sum_{n>=1} (4/n)
+(1 + 1/3 + ... + 1/(2n-1)) z^n, since cosh(A ell) = sum_m A^{2m}
+u^m / (2m)!.  None of them samples P.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ._lazy import np
-from .series import ComplexSeries, series_mul
+from .series import ComplexSeries, series_compose, series_exp
 
 __all__ = [
     "DomainSpec",
@@ -63,11 +65,11 @@ class DomainMap:
 
     @property
     def alpha1(self) -> complex:
-        raise NotImplementedError
+        return self.taylor(2).coeffs[1]
 
     @property
     def alpha2(self) -> complex:
-        raise NotImplementedError
+        return self.taylor(2).coeffs[2]
 
     def eval(self, z: complex | np.ndarray) -> complex | np.ndarray:
         """P(z) at a point, or elementwise on an array, of the open disk."""
@@ -105,14 +107,6 @@ class HalfPlane(DomainMap):
             raise ValueError("half-plane order must satisfy alpha < 1")
         self.alpha = alpha
 
-    @property
-    def alpha1(self) -> complex:
-        return complex(2 * (1 - self.alpha))
-
-    @property
-    def alpha2(self) -> complex:
-        return complex(2 * (1 - self.alpha))
-
     def _eval(self, z: np.ndarray) -> np.ndarray:
         return (1 + (1 - 2 * self.alpha) * z) / (1 - z)
 
@@ -134,14 +128,6 @@ class Sector(DomainMap):
             raise ValueError("sector aperture must satisfy 0 < beta <= 1")
         self.beta = beta
 
-    @property
-    def alpha1(self) -> complex:
-        return complex(2 * self.beta)
-
-    @property
-    def alpha2(self) -> complex:
-        return complex(2 * self.beta * self.beta)
-
     def _eval(self, z: np.ndarray) -> np.ndarray:
         re, im = _ell(z.real, z.imag)
         m = np.exp(self.beta * re)
@@ -149,14 +135,10 @@ class Sector(DomainMap):
         return _pack(m * np.cos(im), m * np.sin(im))
 
     def _taylor(self, order: int) -> ComplexSeries:
-        # (1+z)^b * (1-z)^{-b}: product of two binomial series.
-        b = self.beta
-        up = [1 + 0j]
-        down = [1 + 0j]
-        for i in range(1, order + 1):
-            up.append(up[-1] * (b - i + 1) / i)
-            down.append(down[-1] * (b + i - 1) / i)
-        return series_mul(ComplexSeries(tuple(up)), ComplexSeries(tuple(down)))
+        # exp(b ell) with ell = sum over odd p of 2 z^p / p: every term of
+        # the recurrence is positive, so narrow sectors lose no digits.
+        ell = (0,) + tuple(2 * self.beta / p if p % 2 else 0 for p in range(1, order + 1))
+        return series_exp(ComplexSeries(ell))
 
     def spec_string(self) -> str:
         return f"sector:beta={_fmt_real(self.beta)}"
@@ -175,14 +157,6 @@ class Janowski(DomainMap):
             raise ValueError("parameters must satisfy A != B")
         self.A = a
         self.B = b
-
-    @property
-    def alpha1(self) -> complex:
-        return self.A - self.B
-
-    @property
-    def alpha2(self) -> complex:
-        return -self.B * (self.A - self.B)
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
         return (1 + self.A * z) / (1 + self.B * z)
@@ -216,18 +190,6 @@ class ConicSection(DomainMap):
             raise ValueError("elliptic branch unsupported")
         self.k = k
 
-    @property
-    def alpha1(self) -> complex:
-        if self.k == 1:
-            return complex(8 / math.pi**2)
-        a = 2 / math.pi * math.acos(self.k)
-        return complex(2 * a * a / (1 - self.k * self.k))
-
-    @property
-    def alpha2(self) -> complex:
-        # No closed form here; read off the memoized series.
-        return self.taylor(2).coeffs[2]
-
     def _eval(self, z: np.ndarray) -> np.ndarray:
         # ell at the principal sqrt z = p + iq, with t = sqrt((|x| + |z|)/2)
         # for z = x + iy: (t, y/2t) if x >= 0, else (|y|/2t, copysign(t, y)).
@@ -252,30 +214,23 @@ class ConicSection(DomainMap):
         )
 
     def _taylor(self, order: int) -> ComplexSeries:
-        # Discrete Cauchy coefficients from samples on |z| = r, doubling
-        # the sample count until the requested coefficients move by no
-        # more than 1e-12.  Dividing by r^p amplifies rounding by up to
-        # r^-order, so r grows with the order to keep that factor at
-        # most 1e3; orders up to 9 keep r = 1/2.
-        r = max(0.5, 1e-3 ** (1 / max(order, 1)))
-        prev = np.inf
-        change = math.inf
-        m = max(6, (order + 1).bit_length() + 2)
-        while m <= 16:
-            count = 2**m
-            zs = r * np.exp(2j * np.pi * np.arange(count) / count)
-            co = np.fft.fft(self._eval(zs))[: order + 1] / count
-            co /= r ** np.arange(order + 1)
-            change = float(np.max(np.abs(co - prev)))
-            if change <= 1e-12:
-                return ComplexSeries(tuple(co))
-            prev = co
-            m += 1
-        raise ValueError(
-            f"{self.spec_string()} Taylor extraction to order {order} did not "
-            f"converge at 2^16 samples on |z| = {r:.4g} (last change "
-            f"{change:.3e}, needs <= 1e-12)"
-        )
+        # u = ell(sqrt z)^2, whose n-th coefficient is (4/n) times the sum
+        # of the first n odd reciprocals; P is cosh(A_k sqrt u) composed
+        # with u, or affine in u at k = 1.
+        u = [0.0]
+        odd = 0.0
+        for n in range(1, order + 1):
+            odd += 1 / (2 * n - 1)
+            u.append(4 * odd / n)
+        if self.k == 1:
+            c = 2 / math.pi**2
+            return ComplexSeries((1,) + tuple(c * x for x in u[1:]))
+        a = 2 / math.pi * math.acos(self.k)
+        cosh = [1.0]
+        for m in range(1, order + 1):
+            cosh.append(cosh[-1] * (a * a) / ((2 * m - 1) * 2 * m))
+        outer = (1,) + tuple(c / (1 - self.k * self.k) for c in cosh[1:])
+        return series_compose(ComplexSeries(outer), ComplexSeries(tuple(u)))
 
     def spec_string(self) -> str:
         return f"kucv:k={_fmt_real(self.k)}"

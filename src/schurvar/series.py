@@ -58,15 +58,6 @@ class ComplexSeries:
     def __iter__(self):
         return iter(self.coeffs)
 
-    def truncated(self, order: int) -> "ComplexSeries":
-        """Copy truncated (or zero-padded) to exactly the given order."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        c = self.coeffs[: order + 1]
-        if len(c) < order + 1:
-            c = c + (0j,) * (order + 1 - len(c))
-        return ComplexSeries(c)
-
 
 def series_mul(a: ComplexSeries, b: ComplexSeries) -> ComplexSeries:
     """Cauchy product truncated to the smaller order of the operands."""

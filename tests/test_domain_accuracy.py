@@ -21,8 +21,9 @@ cancels; a test checks that it breaks the sector bound there.
 
 The conic Taylor coefficients to order 64 are checked against a 40-digit
 Cauchy sum over 256 points on |z| = 1/2, whose aliasing is of order
-2^-256: within 1e-13 absolute (measured 6.3e-14 at k = 0.5 and 2.5e-14
-at k = 1).
+2^-256: within 1e-13 absolute (measured 2.2e-16 at k = 0.5 and 5.6e-17
+at k = 1 for the closed-form series; 6.3e-14 and 2.5e-14 for the circle
+sampling it replaced).
 """
 
 import functools

@@ -111,19 +111,10 @@ def test_exp_of_log_geometric():
     assert coeffs_close(series_exp(a), [1.0] * (n + 1), 1e-13)
 
 
-def test_truncated_pads_and_cuts():
-    s = ComplexSeries((1, 2, 3))
-    assert s.truncated(1).coeffs == (1 + 0j, 2 + 0j)
-    assert s.truncated(4).coeffs == (1 + 0j, 2 + 0j, 3 + 0j, 0j, 0j)
-    assert s.truncated(2).coeffs == s.coeffs
-
-
 def test_constructors_and_validation():
     assert ComplexSeries((2j, 0, 0.5)).coeffs == (2j, 0j, 0.5 + 0j)
     with pytest.raises(ValueError):
         ComplexSeries(())
-    with pytest.raises(ValueError):
-        ComplexSeries((1,)).truncated(-1)
 
 
 complexes = st.complex_numbers(
