@@ -20,6 +20,22 @@ ell(z) and forms exp(b ell), the conic map takes ell at the principal
 sqrt z and forms cosh(A_k ell) or ell^2 from their real parts.  numpy's
 complex log, exp, sqrt and cosh cost several times more per element.
 
+Both need cos phi and sin phi of phi = Im(b ell) or Im(A_k ell).  They
+come from one tangent, t = tan(phi/2), as (1 - t^2)/(1 + t^2) and
+2t/(1 + t^2): numpy's float64 cos and sin each cost about five times
+its tan.  The formulas are safe where the maps use them.  For |x| < 1,
+Re((1+x)/(1-x)) > 0, so |Im ell| < pi/2, and b, A_k <= 1 keep
+|phi| < pi/2.  Then |t| < 1 and 1 + t^2 lies in [1, 2), so an error of
+one ulp in t moves cos and sin by a few ulp of 1.
+
+The kernels work in place, but only on arrays they allocated
+themselves; the argument of ``eval`` is never written.  A panel of the
+trace evaluates thousands of points, and each fresh temporary of that
+size is memory the allocator may hand back to the system and fault in
+again on the next panel.  A point runs through the same kernels on
+numpy scalars, which the in-place steps replace instead: a ufunc call
+that writes into an array of one costs several times a scalar one.
+
 Every map's Taylor series is closed form, and alpha1, alpha2 are read
 off it: geometric series for the Moebius maps, exp(b ell) for the
 sector with ell(z) = sum over odd p of 2 z^p / p, and for the conic map
@@ -72,13 +88,18 @@ class DomainMap:
         return self.taylor(2).coeffs[2]
 
     def eval(self, z: complex | np.ndarray) -> complex | np.ndarray:
-        """P(z) at a point, or elementwise on an array, of the open disk."""
+        """P(z) at a point, or elementwise on an array, of the open disk.
+
+        An array gives a new array; z itself is never written.
+        """
+        z = np.asarray(z, dtype=complex)
         if not np.all(np.abs(z) < 1):
             raise ValueError("domain map argument must satisfy |z| < 1")
-        w = self._eval(np.asarray(z, dtype=complex))
-        return w if np.ndim(z) else complex(w)
+        w = self._eval(z)
+        return w if z.ndim else complex(w)
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
+        """P on z, read only; a 0-d z runs on numpy scalars."""
         raise NotImplementedError
 
     def taylor(self, order: int) -> ComplexSeries:
@@ -108,7 +129,10 @@ class HalfPlane(DomainMap):
         self.alpha = alpha
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
-        return (1 + (1 - 2 * self.alpha) * z) / (1 - z)
+        w = (1 - 2 * self.alpha) * z
+        w += 1
+        w /= 1 - z
+        return w
 
     def _taylor(self, order: int) -> ComplexSeries:
         c = 2 * (1 - self.alpha)
@@ -129,10 +153,14 @@ class Sector(DomainMap):
         self.beta = beta
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
-        re, im = _ell(z.real, z.imag)
-        m = np.exp(self.beta * re)
+        m, im = _ell(z.real, z.imag)
+        m *= self.beta
+        m = np.exp(m, out=_own(m))
         im *= self.beta
-        return _pack(m * np.cos(im), m * np.sin(im))
+        cos, sin = _cis(im)
+        cos *= m
+        sin *= m
+        return _pack(cos, sin)
 
     def _taylor(self, order: int) -> ComplexSeries:
         # exp(b ell) with ell = sum over odd p of 2 z^p / p: every term of
@@ -159,7 +187,12 @@ class Janowski(DomainMap):
         self.B = b
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
-        return (1 + self.A * z) / (1 + self.B * z)
+        w = self.A * z
+        w += 1
+        den = self.B * z
+        den += 1
+        w /= den
+        return w
 
     def _taylor(self, order: int) -> ComplexSeries:
         out = [1 + 0j]
@@ -191,27 +224,30 @@ class ConicSection(DomainMap):
         self.k = k
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
-        # ell at the principal sqrt z = p + iq, with t = sqrt((|x| + |z|)/2)
-        # for z = x + iy: (t, y/2t) if x >= 0, else (|y|/2t, copysign(t, y)).
-        # t is 0 only at z = 0 or a subnormal z; flooring it at the least
-        # normal float keeps y/2t finite there, far below P's rounding.
-        x, y = z.real, z.imag
-        t = np.sqrt((np.abs(x) + np.abs(z)) / 2)
-        s = y / (2 * np.maximum(t, _TINY))
-        right = x >= 0
-        p = np.where(right, t, np.abs(s))
-        re, im = _ell(p, np.where(right, s, np.copysign(t, y)))
+        re, im = _ell(*_sqrt(z))
         if self.k == 1:
+            # 1 + c (re^2 - im^2) and 2 c re im, with c = 2/pi^2.
             c = 2 / math.pi**2
-            return _pack(1 + c * (re * re - im * im), 2 * c * re * im)
+            real = re * re
+            re *= 2 * c
+            re *= im
+            im *= im
+            real -= im
+            real *= c
+            real += 1
+            return _pack(real, re)
         k2 = self.k * self.k
         a = 2 / math.pi * math.acos(self.k)
         re *= a
         im *= a
-        return _pack(
-            (np.cosh(re) * np.cos(im) - k2) / (1 - k2),
-            np.sinh(re) * np.sin(im) / (1 - k2),
-        )
+        # (cosh(re) cos(im) - k^2)/(1 - k^2) and sinh(re) sin(im)/(1 - k^2).
+        cos, sin = _cis(im)
+        cos *= np.cosh(re)
+        cos -= k2
+        cos /= 1 - k2
+        sin *= np.sinh(re, out=_own(re))
+        sin /= 1 - k2
+        return _pack(cos, sin)
 
     def _taylor(self, order: int) -> ComplexSeries:
         # u = ell(sqrt z)^2, whose n-th coefficient is (4/n) times the sum
@@ -239,6 +275,27 @@ class ConicSection(DomainMap):
 _TINY = sys.float_info.min
 
 
+def _sqrt(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the principal sqrt z, as new arrays.
+
+    With t = sqrt((|x| + |z|)/2) for z = x + iy, sqrt z is (t, y/2t) if
+    x >= 0, else (|y|/2t, copysign(t, y)).  t is 0 only at z = 0 or a
+    subnormal z; flooring it at the least normal float keeps y/2t finite
+    there, far below P's rounding.
+    """
+    x, y = z.real, z.imag
+    t = np.abs(x)
+    s = np.abs(z)
+    t += s
+    t /= 2
+    t = np.sqrt(t, out=_own(t))
+    s = np.maximum(t, _TINY, out=_own(s))
+    s *= 2
+    s = np.divide(y, s, out=_own(s))
+    right = x >= 0
+    return np.where(right, t, np.abs(s)), np.where(right, s, np.copysign(t, y))
+
+
 def _ell(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of log((1+x)/(1-x)) = 2 artanh x, x = p + iq.
 
@@ -246,12 +303,50 @@ def _ell(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Im = atan2(2q, (1-p)(1+p) - q^2) (Kahan, "Branch cuts for complex
     elementary functions", 1987).  Re is odd in p; taking |p| keeps the
     log1p argument >= 0, where the plain log1p(4p/((1-p)^2 + q^2))
-    cancels as x -> -1.  The denominator is >= (1 - |x|)^2 > 0.
+    cancels as x -> -1.  The denominator is >= (1 - |x|)^2 > 0.  Both
+    parts are new arrays (scalars for a point); p and q are read only.
     """
-    ap = np.abs(p)
+    re = np.abs(p)
     q2 = q * q
-    re = np.copysign(0.5 * np.log1p(4 * ap / ((1 - ap) ** 2 + q2)), p)
-    return re, np.arctan2(2 * q, (1 - p) * (1 + p) - q2)
+    den = 1 - re
+    den **= 2
+    den += q2
+    re *= 4
+    re /= den
+    re = np.log1p(re, out=_own(re))
+    re *= 0.5
+    re = np.copysign(re, p, out=_own(re))
+    den = np.subtract(1, p, out=_own(den))
+    im = 1 + p
+    den *= im
+    den -= q2
+    im = np.multiply(q, 2, out=_own(im))
+    return re, np.arctan2(im, den, out=_own(im))
+
+
+def _cis(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos phi and sin phi for |phi| <= pi/2, from t = tan(phi/2).
+
+    cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2); see the module
+    docstring for the range.  sin is returned in phi's array, which the
+    caller must own.
+    """
+    phi *= 0.5
+    t = np.tan(phi, out=_own(phi))
+    den = t * t
+    cos = 1 - den
+    den += 1
+    cos /= den
+    t += t
+    t /= den
+    return cos, t
+
+
+def _own(x: np.ndarray) -> np.ndarray | None:
+    """The out= of a ufunc that overwrites x, an array the kernel
+    allocated; None for the numpy scalar a point runs on, which the call
+    then replaces."""
+    return x if isinstance(x, np.ndarray) else None
 
 
 def _pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -158,7 +158,8 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 class QuadratureError(RuntimeError):
     """Raised when bisection hits max_depth without meeting its budget,
-    or when the integrand returns a non-finite value.
+    or when a panel's Kronrod sum is non-finite: the integrand returned
+    a non-finite value, or finite values whose weighted sum overflows.
 
     Carries the best available estimate and its error bound (one per
     column for vector integrands) so callers can decide whether the
@@ -223,8 +224,10 @@ def integrate_segment(
     QuadratureError
         If some column still fails its budget at max_depth (the
         exception carries each column's estimate and error bound), or
-        if the integrand returns a non-finite value in a column still
-        being refined.
+        if a column still being refined has a non-finite Kronrod sum on
+        a panel: a non-finite integrand value (every Kronrod weight is
+        positive, so no such value cancels) or finite values whose sum
+        overflows.  Only those columns are named.
     """
     if cfg is None:
         cfg = DEFAULT_CONFIG
@@ -248,17 +251,22 @@ def integrate_segment(
         # A contiguous copy makes the BLAS sums of a sliced column equal
         # to those of a freshly computed one.
         f = np.ascontiguousarray(f).reshape(len(x), -1)
-        finite = np.isfinite(f).all(axis=0)
+        # Every Kronrod weight is positive, so a non-finite value in a
+        # column makes its sum non-finite; so does a sum that overflows.
+        # Either is raised below, not warned about.
+        with np.errstate(invalid="ignore", over="ignore"):
+            kronrod, diff = wk @ f, wd @ f
+        finite = np.isfinite(kronrod)
         if not finite.all():
             bad = tuple(cols[~finite].tolist())
             raise QuadratureError(
-                f"non-finite integrand value on {segment} in column(s) {list(bad)}",
+                f"non-finite integrand value or Kronrod sum on {segment} in column(s) {list(bad)}",
                 complex("nan"),
                 np.inf,
                 bad,
             )
         h = 0.5 * (b - a)
-        return h * (wk @ f), h * np.abs(wd @ f)
+        return h * kronrod, h * np.abs(diff)
 
     take = getattr(integrand, "take", None)
 

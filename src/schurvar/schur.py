@@ -271,11 +271,36 @@ def _climb(gamma: tuple[complex, ...], z, w):
     The parameters are validated to |a| < 1 and every leaf has |w| <= 1,
     so each level has |1 + conj(a) w| >= 1 - |a| > 0: unlike
     mobius_eval, the climb needs no pole guard.
+
+    On arrays the climb allocates two arrays of the shape z and w
+    broadcast to, the result and a denominator, and works in place in
+    them; z and w are never written.  Every operation keeps its operand
+    order (conj(a) w, w + a, then z times the quotient): numpy's complex
+    multiply is not bit-symmetric, and the climb must give mobius_eval's
+    bits.
     """
+    if not (np.ndim(z) or np.ndim(w)):
+        for a in gamma[:0:-1]:
+            w = z * ((w + a) / (1 + a.conjugate() * w))
+        a = gamma[0]
+        return (w + a) / (1 + a.conjugate() * w)
+    shape = np.broadcast_shapes(np.shape(z), np.shape(w))
+    out = np.empty(shape, dtype=complex)
+    den = np.empty(shape, dtype=complex)
     for a in gamma[:0:-1]:
-        w = z * ((w + a) / (1 + a.conjugate() * w))
-    a = gamma[0]
-    return (w + a) / (1 + a.conjugate() * w)
+        _mobius_into(a, w, den, out)
+        np.multiply(z, out, out=out)
+        w = out
+    _mobius_into(gamma[0], w, den, out)
+    return out
+
+
+def _mobius_into(a: complex, w: np.ndarray, den: np.ndarray, out: np.ndarray) -> None:
+    """out <- (w + a) / (1 + conj(a) w), with den as scratch; w may be out."""
+    np.multiply(a.conjugate(), w, out=den)
+    den += 1
+    np.add(w, a, out=out)
+    out /= den
 
 
 def tower_taylor(tower: BlaschkeTower, order: int) -> ComplexSeries:

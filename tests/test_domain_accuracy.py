@@ -5,14 +5,17 @@ reference takes mpmath's complex power, sqrt, log and cosh at 40 digits
 at the same (exact) float input, so it shares no code with the kernel.
 The error is |P - P*| / max(1, |P*|).  Bounds, fixed from a measurement
 over 4,000 disk points, 2,000 points in each band, 50 points per sign
-on the negative axis and 3,000 more rim points for kucv (numpy 2.4.6):
+on the negative axis and 3,000 more rim points for kucv (numpy 2.4.6;
+the figures are for cos and sin taken from tan(phi/2), and a fresh
+draw of the same sizes):
 
 - sector, beta in {0.1, 0.5, 1}, everywhere up to |z| = 1 - 1e-9:
-  1e-15 (measured at most 5.6e-16);
+  1e-15 (measured at most 4.5e-16);
 - kucv, k in {0, 0.5, 1}, for |z| <= 0.999: 1e-14 (measured at most
-  2.2e-15);
+  6.6e-15);
 - kucv for 0.999 < |z| <= 1 - 1e-9: 1e-15 / (1 - |z|) (measured at most
-  2.1e-16 / (1 - |z|)).  The rounding of sqrt z is divided by
+  2.2e-16 / (1 - |z|), with 2,000 more rim points within 0.1 of the
+  argument 0).  The rounding of sqrt z is divided by
   1 - sqrt z; evaluating with numpy's complex sqrt and log, as the
   module did before, errs by as much (1.5e-16 / (1 - |z|)).
 
@@ -39,6 +42,7 @@ SECTOR_BOUND = 1e-15
 KUCV_BOUND = 1e-14
 KUCV_RIM_BOUND = 1e-15  # times 1 / (1 - |z|), for |z| > 0.999
 KUCV_TAYLOR_BOUND = 1e-13  # absolute, coefficients 0..64
+CIS_BOUND = 4.5e-16  # absolute, against numpy's cos and sin
 
 _rng = np.random.default_rng(20)
 
@@ -137,6 +141,29 @@ def test_band_near_minus_one_catches_the_plain_log1p_form(monkeypatch):
     with np.errstate(all="ignore"):
         err = _errors(Sector(0.1), "near -1")
     assert not np.all(err <= SECTOR_BOUND)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cis_matches_cos_and_sin(sign):
+    # Across (-pi/2, pi/2) and at its ends; cos and sin of a float phi
+    # come from tan(phi/2), within CIS_BOUND of numpy's cos and sin.
+    h = np.pi / 2
+    phi = sign * np.concatenate([
+        np.linspace(0, h, 100_001), [np.nextafter(h, 0), h], _rng.uniform(0, h, 10_000),
+    ])
+    cos, sin = domains._cis(phi.copy())
+    assert np.max(np.abs(cos - np.cos(phi))) <= CIS_BOUND
+    assert np.max(np.abs(sin - np.sin(phi))) <= CIS_BOUND
+    # A zero angle keeps its sign in sin, and so does a zero imaginary
+    # part on the real axis: P(conj z) = conj P(z) bit for bit.
+    zero = np.array([sign * 0.0])
+    cos, sin = domains._cis(zero.copy())
+    assert cos[0] == 1 and sin[0] == 0 and np.signbit(sin[0]) == np.signbit(zero[0])
+    z = np.linspace(-0.99, 0.99, 199).astype(complex)
+    z.imag = zero[0]
+    for dom in MAPS:
+        w = dom.eval(z)
+        assert np.all(w.imag == 0) and np.all(np.signbit(w.imag) == (sign < 0))
 
 
 def _cauchy_coefficients(dom, order: int, count: int = 256) -> np.ndarray:

@@ -198,11 +198,18 @@ def test_taylor_memoized_and_consistent():
     assert d.taylor(3).coeffs == d.taylor(8).coeffs[:4]
 
 
-def test_alpha_fields_match_taylor():
-    for d in (HalfPlane(0.25), Sector(0.6), Janowski(1.0, -0.3), ConicSection(0.8)):
-        t = d.taylor(2)
-        assert abs(t.coeffs[1] - d.alpha1) <= 1e-10
-        assert abs(t.coeffs[2] - d.alpha2) <= 1e-10
+def test_alpha_fields_match_closed_forms():
+    # alpha1 and alpha2 are read off the series; the conic forms are
+    # checked above.
+    cases = [(HalfPlane(a), 2 * (1 - a), 2 * (1 - a)) for a in (0.25, -1.0)]
+    cases += [(Sector(b), 2 * b, 2 * b * b) for b in (0.6, 1.0)]
+    cases += [
+        (Janowski(a, b), a - b, -b * (a - b))
+        for a, b in ((2.0, -1.0), (1.0, -0.3), (0.5 + 0.2j, 0.3 - 0.4j))
+    ]
+    for d, alpha1, alpha2 in cases:
+        assert abs(d.alpha1 - alpha1) <= 1e-15 * abs(alpha1), d.spec_string()
+        assert abs(d.alpha2 - alpha2) <= 1e-15 * abs(alpha2), d.spec_string()
 
 
 def test_make_domain_catalog():
@@ -265,12 +272,30 @@ def test_conic_taylor_reaches_order_64():
         assert abs(value - d.eval(0.3)) <= 1e-12
 
 
+CATALOG = (HalfPlane(0.5), Sector(0.5), Janowski(2, -1), ConicSection(0.5), ConicSection(1.0))
+
+
 def test_eval_on_arrays_matches_points():
     zs = np.asarray(RNG_POINTS)
-    for d in (HalfPlane(0.5), Sector(0.5), Janowski(2, -1), ConicSection(0.5), ConicSection(1.0)):
+    for d in CATALOG:
         got = d.eval(zs)
         assert got.shape == zs.shape
         # Array kernels of numpy may round differently in the last bit.
         assert all(abs(got[i] - d.eval(z)) <= 1e-15 * abs(got[i]) for i, z in enumerate(RNG_POINTS))
     with pytest.raises(ValueError):
         HalfPlane().eval(np.asarray([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("d", CATALOG, ids=lambda d: d.spec_string())
+def test_eval_never_writes_its_argument(d):
+    # The kernels work in place only on arrays of their own: the
+    # argument, a strided slice and a 0-d array come back unchanged, and
+    # the result shares no memory with them.
+    zs = np.asarray(RNG_POINTS).reshape(5, 10)
+    for z in (zs, zs[1:, ::3], np.asarray(zs[2, 3])):
+        before = z.copy()
+        w = d.eval(z)
+        assert z.tobytes() == before.tobytes()
+        assert not np.shares_memory(w, z)
+    assert type(d.eval(np.asarray(zs[2, 3]))) is complex
+    assert type(d.eval(RNG_POINTS[0])) is complex

@@ -268,6 +268,39 @@ def test_non_finite_value_in_refined_panel_names_only_live_columns():
         assert "column(s) [2]" in str(info.value)
 
 
+def _with_column(col):
+    """Three columns on the nodes: zeta, col(nodes) and 1."""
+
+    def f(zeta):
+        return np.stack([zeta, col(len(zeta)), np.ones_like(zeta)], axis=1)
+
+    return f
+
+
+def _opposite_infinities(k):
+    col = np.ones(k, dtype=complex)
+    col[0], col[-1] = np.inf, -np.inf
+    return col
+
+
+@pytest.mark.parametrize(
+    "cfg", [QuadratureConfig(1e-9, 1e-9), QuadratureConfig()], ids=["G7K15", "G15K31"]
+)
+@pytest.mark.parametrize(
+    "col",
+    [_opposite_infinities, lambda k: np.full(k, 1e308, dtype=complex)],
+    ids=["plus-and-minus-inf", "finite-overflow"],
+)
+def test_non_finite_kronrod_sum_names_only_its_column(cfg, col):
+    # The finiteness test runs on the Kronrod sums: +inf and -inf at two
+    # nodes sum to NaN, and 1e308 at every node overflows (the weights
+    # sum to 2), though each value is finite.
+    with pytest.raises(QuadratureError) as info:
+        integrate_segment(_with_column(col), 1.0, cfg)
+    assert info.value.columns == (1,)
+    assert "non-finite" in str(info.value) and "column(s) [1]" in str(info.value)
+
+
 def test_array_endpoints_match_scalar_calls():
     # One column per endpoint: near and far from the pole, tiny, and in
     # every direction; the near ones refine, the others stop early.

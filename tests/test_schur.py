@@ -324,6 +324,21 @@ def test_climb_equals_the_mobius_eval_chain_bit_for_bit():
                 assert schur._climb(gamma, zi, wi) == _mobius_chain(gamma, zi, wi)
 
 
+def test_climb_never_writes_z_or_w():
+    # Levels above the first work in place, in the array the first one
+    # allocated: the nodes and the leaf values stay as they were.
+    rng = np.random.default_rng(43)
+    z = np.sqrt(rng.uniform(size=(15, 1))) * np.exp(2j * np.pi * rng.uniform(size=(15, 1)))
+    w = np.exp(2j * np.pi * rng.uniform(size=(15, 4))) * z
+    for depth in (1, 2, 4):
+        gamma = tuple(complex(v) for v in 0.5 * np.exp(2j * np.pi * rng.uniform(size=depth)))
+        z0, w0 = z.copy(), w.copy()
+        got = schur._climb(gamma, z, w)
+        assert z.tobytes() == z0.tobytes() and w.tobytes() == w0.tobytes()
+        assert got.shape == w.shape
+        assert not np.shares_memory(got, z) and not np.shares_memory(got, w)
+
+
 def test_tower_taylor_low_orders_truncate_the_high_order_series():
     # num and den are cut to order + 1 coefficients at every level; a
     # cut that dropped a needed term would move a low-order coefficient.
