@@ -325,8 +325,8 @@ def test_climb_equals_the_mobius_eval_chain_bit_for_bit():
 
 
 def test_climb_never_writes_z_or_w():
-    # Levels above the first work in place, in the array the first one
-    # allocated: the nodes and the leaf values stay as they were.
+    # Every level works in place in the result and denominator arrays
+    # the climb allocates: the nodes and the leaf values stay as they were.
     rng = np.random.default_rng(43)
     z = np.sqrt(rng.uniform(size=(15, 1))) * np.exp(2j * np.pi * rng.uniform(size=(15, 1)))
     w = np.exp(2j * np.pi * rng.uniform(size=(15, 4))) * z
