@@ -28,13 +28,15 @@ Re((1+x)/(1-x)) > 0, so |Im ell| < pi/2, and b, A_k <= 1 keep
 |phi| < pi/2.  Then |t| < 1 and 1 + t^2 lies in [1, 2), so an error of
 one ulp in t moves cos and sin by a few ulp of 1.
 
-The kernels work in place, but only on arrays they allocated
-themselves; the argument of ``eval`` is never written.  A panel of the
-trace evaluates thousands of points, and each fresh temporary of that
-size is memory the allocator may hand back to the system and fault in
-again on the next panel.  A point runs through the same kernels on
-numpy scalars, which the in-place steps replace instead: a ufunc call
-that writes into an array of one costs several times a scalar one.
+``_ell``, ``_sqrt``, ``_cis`` and the sector and conic maps work in
+place, but only on arrays they allocated themselves; the argument of
+``eval`` is never written.  A panel of the trace evaluates thousands of
+points, and each fresh temporary of that size is memory the allocator
+may hand back to the system and fault in again on the next panel.  The
+Moebius maps are plain expressions, four or five temporaries per
+panel.  A point runs through the same kernels on numpy scalars, which
+the in-place steps replace instead: a ufunc call that writes into an
+array of one costs several times a scalar one.
 
 Every map's Taylor series is closed form, and alpha1, alpha2 are read
 off it: geometric series for the Moebius maps, exp(b ell) for the
@@ -129,10 +131,7 @@ class HalfPlane(DomainMap):
         self.alpha = alpha
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
-        w = (1 - 2 * self.alpha) * z
-        w += 1
-        w /= 1 - z
-        return w
+        return ((1 - 2 * self.alpha) * z + 1) / (1 - z)
 
     def _taylor(self, order: int) -> ComplexSeries:
         c = 2 * (1 - self.alpha)
@@ -187,12 +186,7 @@ class Janowski(DomainMap):
         self.B = b
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
-        w = self.A * z
-        w += 1
-        den = self.B * z
-        den += 1
-        w /= den
-        return w
+        return (self.A * z + 1) / (self.B * z + 1)
 
     def _taylor(self, order: int) -> ComplexSeries:
         out = [1 + 0j]

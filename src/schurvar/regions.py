@@ -95,10 +95,8 @@ def _q(
     def integrand(cols: slice | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         def f(zeta: np.ndarray) -> np.ndarray:
             zeta = zeta.reshape(len(zeta), -1)
-            p = domain.eval(_climb(gamma, zeta, leaf(zeta, cols)))
-            p -= base
             # zeta^j first: numpy's complex multiply is not bit-symmetric.
-            return np.multiply(zeta**j, p, out=p)
+            return zeta**j * (domain.eval(_climb(gamma, zeta, leaf(zeta, cols))) - base)
 
         return f
 

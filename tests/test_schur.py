@@ -310,7 +310,9 @@ def _mobius_chain(gamma, z, w):
 def test_climb_equals_the_mobius_eval_chain_bit_for_bit():
     # The inline climb keeps mobius_eval's arithmetic and its order, so
     # every trace and membership value stays the same to the bit, also
-    # next to the poles: |gamma| up to 1 - 1e-9, unimodular leaves.
+    # next to the poles: |gamma| up to 1 - 1e-9, unimodular leaves.  z
+    # comes as nodes of the leaf's shape, as a (k, 1) column against a
+    # (k, m) leaf (the shapes the region kernel passes), and as a point.
     rng = np.random.default_rng(41)
     for depth in range(1, 7):
         for _ in range(20):
@@ -319,14 +321,15 @@ def test_climb_equals_the_mobius_eval_chain_bit_for_bit():
             gamma = tuple(complex(v) for v in mod * np.exp(2j * np.pi * rng.uniform(size=depth)))
             z = np.sqrt(rng.uniform(size=(15, 4))) * np.exp(2j * np.pi * rng.uniform(size=(15, 4)))
             w = np.exp(2j * np.pi * rng.uniform(size=(15, 4)))
-            assert np.array_equal(schur._climb(gamma, z, w), _mobius_chain(gamma, z, w))
+            for zs in (z, z[:, :1], complex(z[0, 0])):
+                assert np.array_equal(schur._climb(gamma, zs, w), _mobius_chain(gamma, zs, w))
             for zi, wi in zip(z[:, 0].tolist(), w[:, 0].tolist()):
                 assert schur._climb(gamma, zi, wi) == _mobius_chain(gamma, zi, wi)
 
 
 def test_climb_never_writes_z_or_w():
-    # Every level works in place in the result and denominator arrays
-    # the climb allocates: the nodes and the leaf values stay as they were.
+    # Each level is a new array, so the nodes and the leaf values stay as
+    # they were and the result shares no memory with them.
     rng = np.random.default_rng(43)
     z = np.sqrt(rng.uniform(size=(15, 1))) * np.exp(2j * np.pi * rng.uniform(size=(15, 1)))
     w = np.exp(2j * np.pi * rng.uniform(size=(15, 4))) * z
