@@ -4,9 +4,9 @@ Caratheodory data.
 The pipeline: the Schur algorithm classifies the data (interior /
 boundary / exterior of the coefficient body); interior data gets a
 one-parameter family of extremal Moebius towers whose weighted contour
-integrals sweep the exact region; adaptive Gauss-Kronrod quadrature
-traces the boundary; closed-form and Monte-Carlo oracles cross-check
-the result from independent routes.
+integrals sweep the exact region; Gauss quadrature on panels planned
+from a Schwarz-Pick bound traces the boundary; closed-form and
+Monte-Carlo oracles cross-check the result from independent routes.
 """
 
 from .series import *

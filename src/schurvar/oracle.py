@@ -302,7 +302,7 @@ def membership_trial(
     phase, zeros, used = _leaf_draws(seed, trials, degrees)
     values = _q(
         domain, gamma, j, z0,
-        lambda zeta, cols: _blaschke_leaf(phase[cols], zeros[:, cols], used[:, cols], zeta), cfg,
+        lambda zeta: _blaschke_leaf(phase, zeros, used, zeta), cfg,
         lambda cols: f"trials {list(cols[:4])}",
     )
     pts = _q_eps(domain, gamma, j, z0, np.exp(1j * _thetas(samples)), cfg)

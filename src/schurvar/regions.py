@@ -14,8 +14,9 @@ data the region is empty.  region_compute dispatches on the
 classification and returns the matching variant, tracing the boundary
 on the grid theta_m = -pi + 2 pi m / samples.  Every boundary point is
 an integral over the same segment [0, z0], so the whole trace is one
-batched quadrature: each Gauss-Kronrod panel (G15/K31 at the default
-budget) evaluates all towers at once.
+batched quadrature: each 15-point Gauss panel evaluates all towers at
+once, on panels planned from a Schwarz-Pick bound of the integrand
+before any tower is evaluated (see _q).
 
 The polygon helpers below (orientation-tolerant convexity check,
 signed distance, symmetric Hausdorff distance against segments)
@@ -28,14 +29,16 @@ Only queries outside are measured against the clipped segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._lazy import np
 from .domains import DomainMap
-from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
-# tower_eval stays importable from this module (bench/tracing.py patches it here).
-from .schur import Classification, _climb, schur_parameters, tower_eval  # noqa: F401
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, _gauss_segment
+# integrate_segment and tower_eval stay importable here (bench/tracing.py patches them).
+from .quadrature import integrate_segment  # noqa: F401
+from .schur import Classification, _climb, _climb_bound, schur_parameters, tower_eval  # noqa: F401
 
 __all__ = [
     "RegionRequest",
@@ -63,24 +66,25 @@ def _q(
     gamma: Sequence[complex],
     j: int,
     z0: complex | np.ndarray,
-    leaf: Callable[[np.ndarray, slice | np.ndarray], np.ndarray],
+    leaf: Callable[[np.ndarray], np.ndarray],
     cfg: QuadratureConfig | None,
     names: Callable[[tuple[int, ...]], str],
 ) -> np.ndarray:
     """Q_{gamma,j}(z0, .) for the towers over the leaf self-maps ``leaf``.
 
-    The one integral kernel: ``leaf(zeta, cols)`` maps the panel nodes
-    zeta, shape (k, 1) for one endpoint z0 or (k, len(cols)) for an
-    array z0 of one endpoint per tower (k = 31 or 15, by the budget's
-    quadrature rule), to one column of leaf values per tower in ``cols``
-    (a slice or an index array; eps[cols] zeta for a trace, zeta B(zeta)
-    of the trials cols for membership, eps zeta for the extremal
-    function), and every panel climbs those towers in one array pass.
-    The integrand's ``take`` restricts it to ``cols``, so a panel
-    refined for the columns still short of their budget climbs only
-    those towers.  Inputs are checked before the first panel; a
-    quadrature failure names z0 (the failing endpoints of an array),
-    j, the domain and, via ``names``, the columns.
+    The one integral kernel.  ``leaf(zeta)`` maps the panel nodes zeta,
+    shape (15, 1) for one endpoint z0 or (15, m) for an array z0 of one
+    endpoint per tower, to one column of leaf values per tower, each of
+    modulus at most |zeta| (eps zeta for a trace and for the extremal
+    function, zeta B(zeta) for membership); every panel climbs all
+    towers in one array pass.  The panels are planned first: on
+    |zeta| <= s every tower is at most _climb_bound(gamma, s) in modulus
+    (Schwarz-Pick), so sup(s) below bounds the integrand (for j = -1 by
+    the maximum principle, as P(omega) - P(gamma_0) vanishes at 0).  The
+    plan meets abs_tol, and so max(abs_tol, rel_tol |Q|).  Inputs are
+    checked before the plan; a quadrature failure names z0 (the failing
+    endpoints of an array), j, the domain and, via ``names``, the
+    columns.
     """
     if j < -1:
         raise ValueError("weight exponent must satisfy j >= -1")
@@ -92,16 +96,19 @@ def _q(
         raise ValueError("tower parameters must be given, each of modulus < 1")
     base = domain.eval(gamma[0])
 
-    def integrand(cols: slice | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        def f(zeta: np.ndarray) -> np.ndarray:
-            zeta = zeta.reshape(len(zeta), -1)
-            # zeta^j first: numpy's complex multiply is not bit-symmetric.
-            return zeta**j * (domain.eval(_climb(gamma, zeta, leaf(zeta, cols))) - base)
+    def sup(s: float) -> float:
+        w = _climb_bound(gamma, s)
+        if not w < 1:  # rounded onto the rim
+            return math.inf
+        top = domain.max_modulus(w) + abs(base)
+        return top / s if j == -1 else top * s**j
 
-        return f
+    def f(zeta: np.ndarray) -> np.ndarray:
+        # zeta^j first: numpy's complex multiply is not bit-symmetric.
+        return zeta**j * (domain.eval(_climb(gamma, zeta, leaf(zeta))) - base)
 
     try:
-        return integrate_segment(_taking(integrand, slice(None)), z0, cfg)
+        return _gauss_segment(f, z0, sup, (cfg or DEFAULT_CONFIG).abs_tol)[0]
     except QuadratureError as exc:
         at = z0 if np.ndim(z0) == 0 else z0[list(exc.columns)][:4].tolist()
         raise QuadratureError(
@@ -110,18 +117,6 @@ def _q(
             exc.error_bound,
             exc.columns,
         ) from exc
-
-
-def _taking(make: Callable, cols: slice | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """make(cols), carrying take(c) = _taking(make, c).
-
-    Built here rather than by a closure that names itself, which would
-    be a reference cycle holding each call's arrays until the garbage
-    collector runs.
-    """
-    f = make(cols)
-    f.take = lambda c: _taking(make, c)
-    return f
 
 
 def _q_eps(
@@ -137,7 +132,7 @@ def _q_eps(
     if not np.all(np.abs(eps) <= 1 + 1e-12):
         raise ValueError("leaf parameter must satisfy |eps| <= 1")
     return _q(
-        domain, gamma, j, z0, lambda zeta, cols: eps[cols] * zeta, cfg,
+        domain, gamma, j, z0, lambda zeta: eps * zeta, cfg,
         lambda cols: f"eps = {eps[list(cols)][:4].tolist()}",
     )
 

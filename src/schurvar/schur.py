@@ -283,6 +283,20 @@ def _climb(gamma: tuple[complex, ...], z, w):
     return (w + a) / (1 + a.conjugate() * w)
 
 
+def _climb_bound(gamma: tuple[complex, ...], s: float) -> float:
+    """A bound on |_climb(gamma, z, w)| over |z| <= s and |w| <= |z|.
+
+    Schwarz-Pick: |s_a(w)| <= (|w| + |a|)/(1 + |a| |w|), which grows with
+    |w|, so climbing the moduli from the leaf bound s bounds every level.
+    """
+    w = s
+    for a in gamma[:0:-1]:
+        m = abs(a)
+        w = s * (w + m) / (1 + m * w)
+    m = abs(gamma[0])
+    return (w + m) / (1 + m * w)
+
+
 def tower_taylor(tower: BlaschkeTower, order: int) -> ComplexSeries:
     """Taylor series of the tower at 0, by Schur's step run backwards.
 

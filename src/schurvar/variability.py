@@ -190,7 +190,7 @@ def extremal_f_eval(
 
     def f(zeta: np.ndarray) -> np.ndarray:
         q = _q(
-            domain, tower.gamma, -1, zeta, lambda w, cols: tower.epsilon * w, inner,
+            domain, tower.gamma, -1, zeta, lambda w: tower.epsilon * w, inner,
             lambda cols: f"eps = {tower.epsilon}",
         )
         return np.exp(q)

@@ -163,11 +163,13 @@ def test_band_near_minus_one_catches_the_plain_log1p_form(monkeypatch):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_cis_matches_cos_and_sin(sign):
-    # Across (-pi/2, pi/2) and at its ends; cos and sin of a float phi
-    # come from tan(phi/2), within CIS_BOUND of numpy's cos and sin.
-    h = np.pi / 2
+    # Across (-pi, pi), up to within 1e-9 of its ends; cos and sin of a
+    # float phi come from tan(phi/2), within CIS_BOUND of numpy's cos and
+    # sin.
+    h = np.pi
     phi = sign * np.concatenate([
-        np.linspace(0, h, 100_001), [np.nextafter(h, 0), h], _rng.uniform(0, h, 10_000),
+        np.linspace(0, h, 200_000, endpoint=False), [np.pi / 2, np.nextafter(h, 0)],
+        _rng.uniform(0, h, 10_000), h - np.logspace(-9, -1, 1_000),
     ])
     cos, sin = domains._cis(phi.copy())
     assert np.max(np.abs(cos - np.cos(phi))) <= CIS_BOUND

@@ -201,11 +201,11 @@ def test_membership_failures_are_reported():
 
 
 def test_membership_quadrature_failure_names_trials():
-    # One bisection level cannot integrate towers this close to the
-    # rim; the batched failure must say which trials and which case.
+    # No capped plan meets this budget; the batched failure must say
+    # which trials and which case.
     with pytest.raises(QuadratureError) as info:
         membership_trial(
-            HP, (0.9,), 0, 0.99, trials=12, seed=1, cfg=QuadratureConfig(max_depth=1)
+            HP, (0.9,), 0, 0.99, trials=12, seed=1, cfg=QuadratureConfig(1e-300, 1e-300)
         )
     err = info.value
     msg = str(err)
@@ -332,7 +332,7 @@ def _all_values_report(domain, gamma, j, z0, trials, seed, degrees=(1, 2, 3, 4),
     phase, zeros, used = _leaf_draws(seed, trials, degrees)
     values = regions._q(
         domain, gamma, j, z0,
-        lambda zeta, cols: _blaschke_leaf(phase[cols], zeros[:, cols], used[:, cols], zeta), None, str,
+        lambda zeta: _blaschke_leaf(phase, zeros, used, zeta), None, str,
     )
     pts = regions._q_eps(domain, gamma, j, z0, np.exp(1j * regions._thetas(256)), None)
     dist = polygon_signed_distance(pts, values)

@@ -6,59 +6,37 @@ import numpy as np
 import pytest
 
 from schurvar import QuadratureConfig, QuadratureError, Sector, integrate_segment, q_point
-from schurvar.quadrature import _rule
+from schurvar.quadrature import _gauss, _gauss_segment, _rule
 from schurvar.regions import _q_eps
 
-# (rule, Gauss order, degree of exactness of the Kronrod weights)
-RULES = [(_rule(15), 7, 22), (_rule(31), 15, 46)]
-
-
-@pytest.mark.parametrize("rule, n, degree", RULES, ids=["G7K15", "G15K31"])
-def test_gauss_nodes_and_weights_match_numpy(rule, n, degree):
-    x, wk, wd = rule
-    gx, gw = np.polynomial.legendre.leggauss(n)
+def test_gauss_nodes_and_weights_match_numpy():
+    x, wk, wd = _rule()
+    gx, gw = np.polynomial.legendre.leggauss(15)
     assert np.max(np.abs(x[1::2] - gx)) <= 1e-15
     assert np.max(np.abs((wk - wd)[1::2] - gw)) <= 1e-15
     # The Kronrod-only nodes carry no Gauss weight.
     assert np.array_equal(wk[::2], wd[::2])
+    # The planned kernel's rule is the Gauss half of the pair.
+    x15, w15 = _gauss()
+    assert np.array_equal(x15, x[1::2])
+    assert np.max(np.abs(w15 - gw)) <= 1e-15
 
 
-@pytest.mark.parametrize("rule, n, degree", RULES, ids=["G7K15", "G15K31"])
-def test_kronrod_weights_integrate_monomials_exactly(rule, n, degree):
-    x, wk, _ = rule
-    assert x.shape == (2 * n + 1,)
-    for k in range(degree + 1):
+def test_kronrod_weights_integrate_monomials_exactly():
+    x, wk, _ = _rule()
+    assert x.shape == (31,)
+    for k in range(47):
         want = 0.0 if k % 2 else 2 / (k + 1)
         assert abs(wk @ x**k - want) <= 1e-15, k
 
 
-@pytest.mark.parametrize("rule, n, degree", RULES, ids=["G7K15", "G15K31"])
-def test_rule_is_symmetric_with_positive_weights(rule, n, degree):
-    x, wk, wd = rule
-    assert np.all(np.diff(x) > 0) and x[n] == 0.0
+def test_rule_is_symmetric_with_positive_weights():
+    x, wk, wd = _rule()
+    assert np.all(np.diff(x) > 0) and x[15] == 0.0
     assert np.array_equal(x, -x[::-1])
     assert np.array_equal(wk, wk[::-1]) and np.array_equal(wd, wd[::-1])
     assert np.all(wk > 0) and np.all((wk - wd)[1::2] > 0)
     assert abs(wd.sum()) <= 1e-15
-
-
-@pytest.mark.parametrize(
-    "cfg, k",
-    [(None, 31), (QuadratureConfig(1e-13, 1e-13), 31), (QuadratureConfig(1e-9, 1e-9), 15)],
-    ids=["default", "1e-13", "1e-9"],
-)
-def test_budget_chooses_the_rule(cfg, k):
-    shapes = []
-
-    def spy(zeta):
-        shapes.append(zeta.shape)
-        return 1 / (0.96 - zeta)
-
-    # The pole near the endpoint forces refined panels: they use the
-    # first panel's rule too.
-    got = integrate_segment(spy, 0.95, cfg)
-    assert abs(got + cmath.log(1 - 0.95 / 0.96)) <= 1e-8
-    assert len(shapes) > 1 and set(shapes) == {(k,)}
 
 
 def test_monomials_integrate_exactly():
@@ -157,85 +135,13 @@ def test_shallow_depth_raises_sooner():
         integrate_segment(lambda zeta: 1 / (1 - zeta), 0.9999, cfg)
 
 
-def test_vector_integrand_integrates_each_column():
-    z = 0.6 - 0.5j
-    k = np.arange(6)
-    got = integrate_segment(lambda zeta: np.exp(np.outer(zeta, k + 1)), z)
-    want = (np.exp(z * (k + 1)) - 1) / (k + 1)
-    assert got.shape == (6,)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_vector_columns_keep_their_own_relative_budget():
-    # A huge smooth column beside a small steep one: the steep column
-    # must meet rel_tol on its own scale, not on the huge column's.
-    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-12)
-    z = 0.9
-    got = integrate_segment(
-        lambda zeta: np.stack([np.full_like(zeta, 1e12), 1 / (1 - zeta)], axis=1), z, cfg
-    )
-    want = -cmath.log(1 - z)
-    assert abs(got[0] - 1e12 * z) <= 1e-12 * 1e12 * z
-    assert abs(got[1] - want) <= 1e-11 * want
-
-
-def test_failing_columns_are_named():
-    cfg = QuadratureConfig(max_depth=2)
-    poles = np.array([5.0, 0.51 + 1e-9j, 7.0])
-    with pytest.raises(QuadratureError) as info:
-        integrate_segment(lambda zeta: 1 / (poles - zeta[:, None]), 1.0, cfg)
-    err = info.value
-    assert err.columns == (1,)
-    assert "column(s) [1]" in str(err)
-    assert err.estimate.shape == (3,) and err.error_bound.shape == (3,)
-    assert abs(err.estimate[0] + cmath.log(1 - 1 / 5.0)) <= 1e-12
-    assert abs(err.estimate[2] + cmath.log(1 - 1 / 7.0)) <= 1e-12
-    assert err.error_bound[0] <= 1e-12 and err.error_bound[1] > err.error_bound[0]
-
-
 def test_non_finite_integrand_raises():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(QuadratureError):
             integrate_segment(lambda zeta: 1 / (0.5 - zeta), 1.0)
         with pytest.raises(QuadratureError) as info:
-            integrate_segment(lambda zeta: np.stack([zeta, np.sqrt(zeta - 0.5) / 0], axis=1), 1.0)
-    assert info.value.columns == (1,)
-
-
-def _poles(cols=slice(None), calls=None):
-    """1/(p - zeta) for poles p at growing distance past the endpoint 0.95,
-    with ``take``; ``calls`` records the columns of every evaluation."""
-    poles = 0.96 + 0.5 * np.arange(8) ** 2
-
-    def f(zeta):
-        if calls is not None:
-            calls.append(np.arange(8)[cols])
-        return 1 / (poles[cols] - zeta[:, None])
-
-    f.take = lambda c: _poles(c, calls)
-    return f
-
-
-@pytest.mark.parametrize(
-    "cfg", [QuadratureConfig(1e-9, 1e-9), QuadratureConfig()], ids=["G7K15", "G15K31"]
-)
-def test_refined_panels_evaluate_only_short_columns(cfg):
-    calls = []
-    got = integrate_segment(_poles(calls=calls), 0.95, cfg)
-    poles = 0.96 + 0.5 * np.arange(8) ** 2
-    err = np.max(np.abs(got + np.log(1 - 0.95 / poles)))
-    assert err <= cfg.rel_tol * np.max(np.abs(got))
-    # The first panel takes every column; the farthest pole meets its
-    # budget there and is never evaluated again, and no refined panel
-    # evaluates every column.
-    assert calls[0].tolist() == list(range(8))
-    assert all(c.size < 8 for c in calls[1:])
-    assert 7 not in np.concatenate(calls[1:])
-    assert sum(c.size for c in calls) < len(calls) * 8
-    # Without take, refined panels are evaluated in full and sliced: the
-    # sums must not change by a single bit.
-    plain = _poles()
-    assert np.array_equal(integrate_segment(lambda zeta: plain(zeta), 0.95, cfg), got)
+            integrate_segment(lambda zeta: np.sqrt(zeta - 0.5) / 0, 1.0)
+    assert "non-finite" in str(info.value)
 
 
 def test_batch_columns_match_single_points():
@@ -247,32 +153,11 @@ def test_batch_columns_match_single_points():
         assert abs(q - want) <= 1e-14 * max(1.0, abs(want))
 
 
-def test_non_finite_value_in_refined_panel_names_only_live_columns():
-    # zeta = 0.75 is a node of the panel [0.5, 1] but not of [0, 1].
-    # Column 0 is constant and converges on the first panel, so its
-    # NaN there is never evaluated (with take) or is sliced away
-    # (without); column 2 is still being refined and raises.
-    def f(zeta):
-        hole = np.where(zeta == 0.75, np.nan, 1.0)
-        return np.stack([hole, 1 / (1.001 - zeta), hole / (1.001 - zeta)], axis=1)
-
-    def taking(cols):
-        g = lambda zeta: f(zeta)[:, cols]
-        g.take = taking
-        return g
-
-    for integrand in (f, taking(slice(None))):
-        with pytest.raises(QuadratureError) as info:
-            integrate_segment(integrand, 1.0)
-        assert info.value.columns == (2,)
-        assert "column(s) [2]" in str(info.value)
-
-
 def _with_column(col):
-    """Three columns on the nodes: zeta, col(nodes) and 1."""
+    """Three columns on the (k, 1) nodes: zeta, col(k) and 1."""
 
     def f(zeta):
-        return np.stack([zeta, col(len(zeta)), np.ones_like(zeta)], axis=1)
+        return np.hstack([zeta, col(len(zeta))[:, None], np.ones_like(zeta)])
 
     return f
 
@@ -283,44 +168,26 @@ def _opposite_infinities(k):
     return col
 
 
-@pytest.mark.parametrize(
-    "cfg", [QuadratureConfig(1e-9, 1e-9), QuadratureConfig()], ids=["G7K15", "G15K31"]
-)
-@pytest.mark.parametrize(
+NON_FINITE = pytest.mark.parametrize(
     "col",
     [_opposite_infinities, lambda k: np.full(k, 1e308, dtype=complex)],
     ids=["plus-and-minus-inf", "finite-overflow"],
 )
-def test_non_finite_kronrod_sum_names_only_its_column(cfg, col):
+
+
+@NON_FINITE
+def test_non_finite_kronrod_sum_raises(col):
     # The finiteness test runs on the Kronrod sums: +inf and -inf at two
     # nodes sum to NaN, and 1e308 at every node overflows (the weights
     # sum to 2), though each value is finite.
     with pytest.raises(QuadratureError) as info:
-        integrate_segment(_with_column(col), 1.0, cfg)
+        integrate_segment(lambda zeta: col(len(zeta)), 1.0)
+    assert "non-finite" in str(info.value)
+
+
+@NON_FINITE
+def test_non_finite_gauss_sum_names_only_its_column(col):
+    with pytest.raises(QuadratureError) as info:
+        _gauss_segment(_with_column(col), 0.5, lambda s: 1.0, 1e-12)
     assert info.value.columns == (1,)
     assert "non-finite" in str(info.value) and "column(s) [1]" in str(info.value)
-
-
-def test_array_endpoints_match_scalar_calls():
-    # One column per endpoint: near and far from the pole, tiny, and in
-    # every direction; the near ones refine, the others stop early.
-    ends = np.array([0.95, 1e-4, 0.3 - 0.4j, -0.9, 0.7j, 0.99 * cmath.exp(0.05j)])
-
-    def g(zeta):
-        return 1 / (1.001 - zeta) + zeta**2
-
-    def taking(cols):
-        h = lambda zeta: g(zeta)
-        h.take = taking
-        return h
-
-    want = np.array([integrate_segment(g, e) for e in ends])
-    for integrand in (g, taking(slice(None))):
-        got = integrate_segment(integrand, ends)
-        assert got.shape == ends.shape
-        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
-
-
-def test_array_endpoints_must_be_nonzero():
-    with pytest.raises(ValueError):
-        integrate_segment(lambda zeta: zeta, np.array([0.5, 0, 0.3j]))

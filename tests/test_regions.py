@@ -28,7 +28,6 @@ from schurvar import (
     region_compute,
     single_point_value,
 )
-from schurvar import regions
 from schurvar.oracle import gronwall_curve, membership_trial
 
 HP = HalfPlane()
@@ -396,31 +395,3 @@ def test_trace_vertices_sit_on_the_hull():
     for m in (0, 17, 40):
         rest = pts[:m] + pts[m + 1 :]
         assert polygon_signed_distance(rest, pts[m]) > 0
-
-
-def _plain_integrands(monkeypatch):
-    # What a wrapper such as the benchmark's evaluation counter hands the
-    # quadrature: a one-argument f(zeta) without ``take``, so refined
-    # panels are evaluated in full and sliced.
-    inner = regions.integrate_segment
-    monkeypatch.setattr(
-        regions, "integrate_segment", lambda f, z_end, cfg=None: inner(lambda zeta: f(zeta), z_end, cfg)
-    )
-
-
-@pytest.mark.parametrize("j", [-1, 0])
-@pytest.mark.parametrize("dom", [HP, Sector(0.5), ConicSection(1.0)], ids=lambda d: d.spec_string())
-def test_trace_is_bit_identical_without_take(monkeypatch, dom, j):
-    req = RegionRequest(dom, (0j, 0.3, 0.1j), j, 0.95 * cmath.exp(0.4j), samples=256)
-    want = region_compute(req).polygon.points
-    _plain_integrands(monkeypatch)
-    assert np.array_equal(region_compute(req).polygon.points, want)
-
-
-def test_membership_is_bit_identical_without_take(monkeypatch):
-    # Inflation -inf reports every trial with its integral.
-    args = (Sector(0.5), (0.1, 0.3 - 0.2j), 0, 0.95j, 200, 4)
-    want = membership_trial(*args, inflation=-math.inf).failures
-    _plain_integrands(monkeypatch)
-    got = membership_trial(*args, inflation=-math.inf).failures
-    assert len(got) == 200 and got == want

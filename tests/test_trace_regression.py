@@ -86,11 +86,10 @@ def test_unconstrained_cv_region_matches_primitive_trace():
     _assert_close(res.polygon.points, case["points"])
 
 
-def test_batched_trace_at_depth_one_still_raises():
-    # Endpoint close to the tower's pole: one bisection level cannot
-    # meet the budget on every column, and the batch must say so.
+def test_batched_trace_past_the_panel_cap_raises():
+    # No capped plan meets this budget, and the batch must say so.
     req = RegionRequest(
-        HalfPlane(), (0.9,), 0, 0.99, samples=16, quad=QuadratureConfig(max_depth=1)
+        HalfPlane(), (0.9,), 0, 0.99, samples=16, quad=QuadratureConfig(1e-300, 1e-300)
     )
     with pytest.raises(QuadratureError) as info:
         region_compute(req)

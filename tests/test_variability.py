@@ -231,9 +231,18 @@ def test_extremal_f_eval_makes_one_kernel_call_per_outer_panel(monkeypatch):
 
 def test_extremal_f_eval_failure_names_failing_nodes():
     with pytest.raises(QuadratureError) as info:
-        extremal_f_eval(HP, (0.3,), 1.0, 0.95, QuadratureConfig(1e-15, 1e-15, 1))
+        extremal_f_eval(HP, (0.3,), 1.0, 0.95, QuadratureConfig(1e-300, 1e-300))
     text = str(info.value)
     assert "eps = (1+0j), z0 = [(" in text and "domain halfplane" in text
+
+
+def test_extremal_f_eval_near_the_rim():
+    # The inner integrals run at 1e-13, which near the pole at 1 sits
+    # below the rounding noise an adaptive scheme reads; planned panels
+    # meet it.  4.643040183851976 is the value of adaptive inner
+    # integrals at the looser 1e-11.
+    got = extremal_f_eval(HP, (0.3, 0.1), 1.0, 0.999)
+    assert abs(got - 4.643040183851976) <= 1e-10
 
 
 def test_extremal_f_eval_matches_series():
