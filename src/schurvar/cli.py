@@ -62,8 +62,8 @@ def parse_complex(text: str) -> complex:
 
 
 def _parse_complex_list(text: str) -> tuple[complex, ...]:
-    parts = [p for p in text.split(",")]
-    if not parts or any(p.strip() == "" for p in parts):
+    parts = text.split(",")
+    if any(p.strip() == "" for p in parts):
         raise argparse.ArgumentTypeError(f"malformed complex list: {text!r}")
     return tuple(parse_complex(p) for p in parts)
 

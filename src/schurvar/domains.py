@@ -28,15 +28,8 @@ Re((1+x)/(1-x)) > 0, so |Im ell| < pi/2, and b, A_k <= 1 keep
 |phi| < pi/2.  Then |t| < 1 and 1 + t^2 lies in [1, 2), so an error of
 one ulp in t moves cos and sin by a few ulp of 1.
 
-``_ell``, ``_sqrt``, ``_cis`` and the sector and conic maps work in
-place, but only on arrays they allocated themselves; the argument of
-``eval`` is never written.  A panel of the trace evaluates thousands of
-points, and each fresh temporary of that size is memory the allocator
-may hand back to the system and fault in again on the next panel.  The
-Moebius maps are plain expressions, four or five temporaries per
-panel.  A point runs through the same kernels on numpy scalars, which
-the in-place steps replace instead: a ufunc call that writes into an
-array of one costs several times a scalar one.
+Every kernel is a plain expression that never writes its argument, and a
+point runs through the same kernels on numpy scalars.
 
 Every map's Taylor series is closed form, and alpha1, alpha2 are read
 off it: geometric series for the Moebius maps, exp(b ell) for the
@@ -159,14 +152,10 @@ class Sector(DomainMap):
         self.beta = beta
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
-        m, im = _ell(z.real, z.imag)
-        m *= self.beta
-        m = np.exp(m, out=_own(m))
-        im *= self.beta
-        cos, sin = _cis(im)
-        cos *= m
-        sin *= m
-        return _pack(cos, sin)
+        m, im = _ell(z.real.copy(), z.imag.copy())
+        cos, sin = _cis(self.beta * im)
+        m = np.exp(self.beta * m)
+        return _pack(m * cos, m * sin)
 
     def max_modulus(self, r: float) -> float:
         # Positive Taylor coefficients: the maximum is P(r).
@@ -234,28 +223,13 @@ class ConicSection(DomainMap):
     def _eval(self, z: np.ndarray) -> np.ndarray:
         re, im = _ell(*_sqrt(z))
         if self.k == 1:
-            # 1 + c (re^2 - im^2) and 2 c re im, with c = 2/pi^2.
             c = 2 / math.pi**2
-            real = re * re
-            re *= 2 * c
-            re *= im
-            im *= im
-            real -= im
-            real *= c
-            real += 1
-            return _pack(real, re)
+            return _pack(1 + c * (re * re - im * im), 2 * c * re * im)
         k2 = self.k * self.k
         a = 2 / math.pi * math.acos(self.k)
-        re *= a
-        im *= a
-        # (cosh(re) cos(im) - k^2)/(1 - k^2) and sinh(re) sin(im)/(1 - k^2).
+        re, im = a * re, a * im
         cos, sin = _cis(im)
-        cos *= np.cosh(re)
-        cos -= k2
-        cos /= 1 - k2
-        sin *= np.sinh(re, out=_own(re))
-        sin /= 1 - k2
-        return _pack(cos, sin)
+        return _pack((np.cosh(re) * cos - k2) / (1 - k2), np.sinh(re) * sin / (1 - k2))
 
     def max_modulus(self, r: float) -> float:
         # Positive Taylor coefficients: the maximum is P(r).  ell(sqrt r)
@@ -301,15 +275,9 @@ def _sqrt(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     subnormal z; flooring it at the least normal float keeps y/2t finite
     there, far below P's rounding.
     """
-    x, y = z.real, z.imag
-    t = np.abs(x)
-    s = np.abs(z)
-    t += s
-    t /= 2
-    t = np.sqrt(t, out=_own(t))
-    s = np.maximum(t, _TINY, out=_own(s))
-    s *= 2
-    s = np.divide(y, s, out=_own(s))
+    x, y = z.real.copy(), z.imag.copy()
+    t = np.sqrt((np.abs(x) + np.abs(z)) / 2)
+    s = y / (2 * np.maximum(t, _TINY))
     right = x >= 0
     return np.where(right, t, np.abs(s)), np.where(right, s, np.copysign(t, y))
 
@@ -324,22 +292,11 @@ def _ell(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cancels as x -> -1.  The denominator is >= (1 - |x|)^2 > 0.  Both
     parts are new arrays (scalars for a point); p and q are read only.
     """
-    re = np.abs(p)
+    a = np.abs(p)
     q2 = q * q
-    den = 1 - re
-    den **= 2
-    den += q2
-    re *= 4
-    re /= den
-    re = np.log1p(re, out=_own(re))
-    re *= 0.5
-    re = np.copysign(re, p, out=_own(re))
-    den = np.subtract(1, p, out=_own(den))
-    im = 1 + p
-    den *= im
-    den -= q2
-    im = np.multiply(q, 2, out=_own(im))
-    return re, np.arctan2(im, den, out=_own(im))
+    re = np.copysign(0.5 * np.log1p(4 * a / ((1 - a) ** 2 + q2)), p)
+    im = np.arctan2(2 * q, (1 - p) * (1 + p) - q2)
+    return re, im
 
 
 def _cis(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,25 +304,12 @@ def _cis(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2), within 2.2e-16 of
     40-digit references on all of (-pi, pi), to within 1e-9 of its ends;
-    the maps need only |phi| < pi/2.  sin is returned in phi's array,
-    which the caller must own.
+    the maps need only |phi| < pi/2.
     """
-    phi *= 0.5
-    t = np.tan(phi, out=_own(phi))
-    den = t * t
-    cos = 1 - den
-    den += 1
-    cos /= den
-    t += t
-    t /= den
-    return cos, t
-
-
-def _own(x: np.ndarray) -> np.ndarray | None:
-    """The out= of a ufunc that overwrites x, an array the kernel
-    allocated; None for the numpy scalar a point runs on, which the call
-    then replaces."""
-    return x if isinstance(x, np.ndarray) else None
+    t = np.tan(0.5 * phi)
+    t2 = t * t
+    den = 1 + t2
+    return (1 - t2) / den, 2 * t / den
 
 
 def _pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -262,6 +262,9 @@ def test_h_check_subcommand(capsys):
 def test_usage_errors_exit_two(capsys):
     assert capture(capsys, ["schur"])[0] == 2
     assert capture(capsys, ["schur", "--data", "bogus"])[0] == 2
+    for data in ("0,,0.3", "0.3,", ","):
+        code, out, err = capture(capsys, ["schur", "--data", data])
+        assert (code, out) == (2, "") and "malformed complex list" in err
     assert capture(
         capsys,
         ["region", "--domain", "parabola", "--data", "0,0.3", "--j", "-1", "--z0", "0.5"],

@@ -23,6 +23,7 @@ from schurvar import (
     make_domain,
     series_mul,
 )
+from schurvar import domains
 from schurvar.cli import parse_domain
 
 _rng = np.random.default_rng(3)
@@ -288,14 +289,35 @@ def test_eval_on_arrays_matches_points():
 
 @pytest.mark.parametrize("d", CATALOG, ids=lambda d: d.spec_string())
 def test_eval_never_writes_its_argument(d):
-    # The kernels work in place only on arrays of their own: the
-    # argument, a strided slice and a 0-d array come back unchanged, and
-    # the result shares no memory with them.
+    # The argument, a strided slice and a 0-d array come back unchanged,
+    # and the result shares no memory with them.  A strided slice gives
+    # the bits of its contiguous copy.
     zs = np.asarray(RNG_POINTS).reshape(5, 10)
     for z in (zs, zs[1:, ::3], np.asarray(zs[2, 3])):
         before = z.copy()
         w = d.eval(z)
         assert z.tobytes() == before.tobytes()
         assert not np.shares_memory(w, z)
+    strided = zs[1:, ::3]
+    assert d.eval(strided).tobytes() == d.eval(strided.copy()).tobytes()
     assert type(d.eval(np.asarray(zs[2, 3]))) is complex
     assert type(d.eval(RNG_POINTS[0])) is complex
+
+
+_PANEL = 0.99 * np.sqrt(_rng.uniform(0, 1, (15, 256))) * np.exp(
+    2j * np.pi * _rng.uniform(0, 1, (15, 256)))
+
+
+@pytest.mark.parametrize("kernel", ["_ell", "_sqrt", "_cis"])
+def test_kernels_never_write_their_arguments(kernel):
+    # On a (15, 256) panel, a strided view of it and a 0-d array.
+    args = {
+        "_ell": (_PANEL.real.copy(), _PANEL.imag.copy()),
+        "_sqrt": (_PANEL,),
+        "_cis": (np.angle(_PANEL) / 2,),
+    }[kernel]
+    for view in (lambda a: a, lambda a: a[::2, 1::3], lambda a: np.asarray(a[4, 7])):
+        xs = [view(a) for a in args]
+        before = [x.tobytes() for x in xs]
+        getattr(domains, kernel)(*xs)
+        assert [x.tobytes() for x in xs] == before
