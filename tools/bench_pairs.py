@@ -104,8 +104,9 @@ def main() -> int:
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "change": _git("log", "-1", "--format=%s", args.change),
-        "command": f"python3 bench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0",
-        "seed": {w: seeds for w, seeds in args.pairs},
+        "command": "python3 bench/run.py --workload <w> --seed <s> "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "seed": dict(args.pairs),
         "seconds": args.seconds,
         "pairs": {},
         "order": "parent first in even-numbered pairs, change first in odd-numbered pairs; "
