@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating pairs of benchmark runs on two commits, saved as one JSON file.
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --seconds 20 \\
+    python3 tools/bench_pairs.py --parent HEAD~1 \\
         --pairs trace:501,502,503 --pairs algebra:521 --out BENCH_22.json
 
 Each side runs from a fresh export of its commit's files (``git archive``
@@ -11,10 +11,10 @@ checkout registered in the repository.  Pair i of a workload runs
 
     python3 bench/run.py --workload W --seed S --seconds N --trace 0
 
-on both sides with the pair's seed S, the parent first in even-numbered
-pairs and the change first in odd-numbered ones.  The pairs of all
-workloads are interleaved: pair 0 of each workload in the order given,
-then pair 1, and so on.
+on both sides with the pair's seed S and N = BENCHMARK.json's run_seconds,
+the parent first in even-numbered pairs and the change first in
+odd-numbered ones.  The pairs of all workloads are interleaved: pair 0 of
+each workload in the order given, then pair 1, and so on.
 
 The output keeps every run's end-to-end metrics and, per side, their
 median and quartiles, with the number of pairs in which the change is
@@ -88,7 +88,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="parent commit")
     ap.add_argument("--change", default="HEAD", help="changed commit (default HEAD)")
-    ap.add_argument("--seconds", type=float, required=True, help="--seconds of every run")
     ap.add_argument("--pairs", type=_parse_pairs, action="append", required=True,
                     help="W:S1,S2,...: one pair per seed on workload W (repeatable)")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
@@ -96,7 +95,8 @@ def main() -> int:
 
     commits = {side: _git("rev-parse", "--short", rev)
                for side, rev in zip(SIDES, (args.parent, args.change))}
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds, end_to_end = benchmark["run_seconds"], benchmark["end_to_end"]
     results = {w: {side: [] for side in SIDES} for w, _ in args.pairs}
     schedule = [(i, w, seeds[i]) for i in range(max(len(s) for _, s in args.pairs))
                 for w, seeds in args.pairs if i < len(seeds)]
@@ -105,9 +105,9 @@ def main() -> int:
         "change_commit": commits["change"],
         "change": _git("log", "-1", "--format=%s", args.change),
         "command": "python3 bench/run.py --workload <w> --seed <s> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "seed": dict(args.pairs),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pairs": {},
         "order": "parent first in even-numbered pairs, change first in odd-numbered pairs; "
                  "pair i of every workload ran before pair i + 1 of any",
@@ -128,7 +128,7 @@ def main() -> int:
             _export(commits[side], tree)
         for i, workload, seed in schedule:
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                res = _run(trees[side], workload, seed, args.seconds)
+                res = _run(trees[side], workload, seed, seconds)
                 results[workload][side].append(res)
                 ops = res["metrics"]["ops_per_s"]["value"]
                 print(f"{workload} pair {i} seed {seed} {side}: ops_per_s {ops:.6g} "
