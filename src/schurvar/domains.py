@@ -29,7 +29,9 @@ Re((1+x)/(1-x)) > 0, so |Im ell| < pi/2, and b, A_k <= 1 keep
 one ulp in t moves cos and sin by a few ulp of 1.
 
 Every kernel is a plain expression that never writes its argument, and a
-point runs through the same kernels on numpy scalars.
+point runs through the same kernels on numpy scalars.  The sector map and
+``_sqrt`` copy z.real and z.imag once, since each of the several ufuncs
+that read them runs faster on a contiguous array than on a strided view.
 
 Every map's Taylor series is closed form, and alpha1, alpha2 are read
 off it: geometric series for the Moebius maps, exp(b ell) for the
