@@ -282,6 +282,18 @@ def test_usage_errors_exit_two(capsys):
     assert (code, out) == (2, "") and "trials" in err
 
 
+def test_os_errors_exit_one(capsys, tmp_path):
+    # The region is computed, then written to a directory that is not there.
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = capture(
+        capsys,
+        ["region", "--domain", "halfplane", "--data", "0,0.3", "--j", "-1", "--z0", "0.5",
+         "--samples", "8", "--out", str(path)],
+    )
+    assert (code, out) == (1, "") and err.startswith("error: [Errno 2] ")
+    assert not path.parent.exists()
+
+
 def test_byte_identical_reruns():
     argv = [sys.executable, "-m", "schurvar", "region", "--domain", "halfplane",
             "--data", "0,0.3", "--j", "-1", "--z0", "0.5", "--samples", "16"]

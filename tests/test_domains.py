@@ -10,6 +10,7 @@ routes are independent.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,11 +226,22 @@ def test_make_domain_catalog():
         assert isinstance(make_domain(spec), cls)
 
 
-def test_make_domain_rejects_unknown():
-    with pytest.raises(ValueError):
-        make_domain(DomainSpec("parabola", {}))
-    with pytest.raises(ValueError):
-        make_domain(DomainSpec("halfplane", {"alpha": 0.5, "extra": 1.0}))
+@pytest.mark.parametrize("kind, params, message", [
+    ("parabola", {}, "unknown domain kind 'parabola'"),
+    ("sector", {}, "domain kind 'sector' requires parameter 'beta'"),
+    ("janowski", {"A": 2.0}, "domain kind 'janowski' requires parameter 'B'"),
+    ("kucv", {"k": 0.5j}, "parameter 'k' must be real"),
+    ("halfplane", {"alpha": 0.5, "extra": 1.0}, "unexpected parameter(s) for 'halfplane': extra"),
+    ("sector", {"beta": 0.5, "z": 1, "a": 2}, "unexpected parameter(s) for 'sector': a, z"),
+    # Two faults: the first check in order names its own.
+    ("parabola", {"x": 1}, "unknown domain kind 'parabola'"),
+    ("janowski", {"B": 0.5j, "x": 1}, "domain kind 'janowski' requires parameter 'A'"),
+    ("sector", {"beta": 1j, "x": 1}, "parameter 'beta' must be real"),
+    ("halfplane", {"alpha": 2.0, "x": 1}, "half-plane order must satisfy alpha < 1"),
+])
+def test_make_domain_rejects_bad_specs(kind, params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_domain(DomainSpec(kind, params))
 
 
 def test_spec_string_identifies_domain():
