@@ -71,7 +71,15 @@ class DomainSpec:
 
 
 class DomainMap:
-    """Base for the catalog maps.  Immutable after construction."""
+    """Base for the catalog maps.  Immutable after construction.
+
+    A map's spec is its ``kind`` and its ``params``: each parameter name
+    is an attribute, in the constructor's order, with its type (float or
+    complex).  A class-level value of a parameter is its default.
+    """
+
+    kind: str
+    params: Mapping[str, type]
 
     def __init__(self) -> None:
         self._taylor_memo: dict[int, ComplexSeries] = {}
@@ -116,11 +124,16 @@ class DomainMap:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        """The spec text that parses back to this very map, bit for bit."""
+        values = ",".join(f"{name}={_fmt_param(getattr(self, name))}" for name in self.params)
+        return f"{self.kind}:{values}"
 
 
 class HalfPlane(DomainMap):
     """Map onto the half-plane Re w > alpha, alpha < 1."""
+
+    kind, params = "halfplane", {"alpha": float}
+    alpha = 0.0  # a spec may leave it out
 
     def __init__(self, alpha: float = 0.0):
         super().__init__()
@@ -139,12 +152,11 @@ class HalfPlane(DomainMap):
         c = 2 * (1 - self.alpha)
         return ComplexSeries((1 + 0j,) + (complex(c),) * order)
 
-    def spec_string(self) -> str:
-        return f"halfplane:alpha={_fmt_real(self.alpha)}"
-
 
 class Sector(DomainMap):
     """Map onto the sector |arg w| < beta*pi/2, 0 < beta <= 1."""
+
+    kind, params = "sector", {"beta": float}
 
     def __init__(self, beta: float):
         super().__init__()
@@ -169,12 +181,11 @@ class Sector(DomainMap):
         ell = (0,) + tuple(2 * self.beta / p if p % 2 else 0 for p in range(1, order + 1))
         return series_exp(ComplexSeries(ell))
 
-    def spec_string(self) -> str:
-        return f"sector:beta={_fmt_real(self.beta)}"
-
 
 class Janowski(DomainMap):
     """Moebius map (1 + A z)/(1 + B z); |B| <= 1 and A != B."""
+
+    kind, params = "janowski", {"A": complex, "B": complex}
 
     def __init__(self, a: complex, b: complex):
         super().__init__()
@@ -201,9 +212,6 @@ class Janowski(DomainMap):
             coeff = coeff * (-self.B)
         return ComplexSeries(tuple(out))
 
-    def spec_string(self) -> str:
-        return f"janowski:A={_fmt_param(self.A)},B={_fmt_param(self.B)}"
-
 
 class ConicSection(DomainMap):
     """Conic-section map of parameter k in [0, 1].
@@ -212,6 +220,8 @@ class ConicSection(DomainMap):
     k = 1 the parabolic region Re w > |w - 1|.  The elliptic branch
     k > 1 is out of scope.
     """
+
+    kind, params = "kucv", {"k": float}
 
     def __init__(self, k: float):
         super().__init__()
@@ -261,9 +271,6 @@ class ConicSection(DomainMap):
             cosh.append(cosh[-1] * (a * a) / ((2 * m - 1) * 2 * m))
         outer = (1,) + tuple(c / (1 - self.k * self.k) for c in cosh[1:])
         return series_compose(ComplexSeries(outer), ComplexSeries(tuple(u)))
-
-    def spec_string(self) -> str:
-        return f"kucv:k={_fmt_real(self.k)}"
 
 
 _TINY = sys.float_info.min
@@ -340,29 +347,24 @@ def make_domain(spec: DomainSpec) -> DomainMap:
     Unknown kinds, missing parameters, and out-of-range values raise
     ValueError with a descriptive message.
     """
-    kind = spec.kind
+    kinds = {c.kind: c for c in (HalfPlane, Sector, Janowski, ConicSection)}
+    if spec.kind not in kinds:
+        raise ValueError(f"unknown domain kind '{spec.kind}'")
+    cls = kinds[spec.kind]
     params = dict(spec.params)
-
-    def take(name: str, default=None):
+    args = []
+    for name, typ in cls.params.items():
         if name in params:
-            return params.pop(name)
-        if default is not None:
-            return default
-        raise ValueError(f"domain kind '{kind}' requires parameter '{name}'")
-
-    if kind == "halfplane":
-        dom: DomainMap = HalfPlane(alpha=_as_real(take("alpha", 0.0), "alpha"))
-    elif kind == "sector":
-        dom = Sector(beta=_as_real(take("beta"), "beta"))
-    elif kind == "janowski":
-        dom = Janowski(a=complex(take("A")), b=complex(take("B")))
-    elif kind == "kucv":
-        dom = ConicSection(k=_as_real(take("k"), "k"))
-    else:
-        raise ValueError(f"unknown domain kind '{kind}'")
+            v = params.pop(name)
+        elif hasattr(cls, name):
+            v = getattr(cls, name)
+        else:
+            raise ValueError(f"domain kind '{spec.kind}' requires parameter '{name}'")
+        args.append(_as_real(v, name) if typ is float else complex(v))
+    dom = cls(*args)
     if params:
         extra = ", ".join(sorted(params))
-        raise ValueError(f"unexpected parameter(s) for '{kind}': {extra}")
+        raise ValueError(f"unexpected parameter(s) for '{spec.kind}': {extra}")
     return dom
 
 
