@@ -364,30 +364,17 @@ def polygon_signed_distance(poly, w: complex | np.ndarray) -> float | np.ndarray
     return float(out[0]) if ws.ndim == 0 else out.reshape(ws.shape)
 
 
-# Elements of one (queries x edges) block: its two float64 buffers (256 kB)
-# stay in a core's L2 cache.
-_BLOCK = 16384
-
-
 def _line_distances(p: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """min_k cross_k / |e_k| for each query, over the nonzero edges e_k at p_k."""
-    # Contiguous copies: the strided .real/.imag views slow every pass.
-    px, py, ex, ey = p.real.copy(), p.imag.copy(), e.real.copy(), e.imag.copy()
+    """min_k cross_k / |e_k| for each query, over the nonzero edges e_k at p_k.
+
+    Queries go in blocks of 32, as in _boundary_distances.
+    """
     inv = 1.0 / np.abs(e)
-    rows = max(1, _BLOCK // len(e))
-    a = np.empty((min(rows, len(q)), len(e)))
-    b = np.empty_like(a)
     out = np.empty(len(q))
-    for i in range(0, len(q), rows):
-        qs = q[i : i + rows, None]
-        ai, bi = a[: len(qs)], b[: len(qs)]
-        np.subtract(qs.imag, py, out=ai)
-        ai *= ex
-        np.subtract(qs.real, px, out=bi)
-        bi *= ey
-        ai -= bi
-        ai *= inv
-        np.min(ai, axis=1, out=out[i : i + rows])
+    for i in range(0, len(q), 32):
+        qs = q[i : i + 32, None]
+        cross = (qs.imag - p.imag) * e.real - (qs.real - p.real) * e.imag
+        out[i : i + 32] = np.min(cross * inv, axis=1)
     return out
 
 
