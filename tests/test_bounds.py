@@ -21,6 +21,8 @@ from schurvar import ConicSection, HalfPlane, Janowski, QuadratureConfig, Sector
 from schurvar import quadrature, regions
 from schurvar.schur import _climb, _climb_bound
 
+from mp_maps import mp_map
+
 CATALOG = (
     HalfPlane(0.0), HalfPlane(0.7), HalfPlane(-0.5),
     Sector(0.1), Sector(0.5), Sector(1.0),
@@ -81,25 +83,6 @@ def test_max_modulus_of_moebius_maps_is_an_upper_bound_only():
 TAYLOR_ORDER = {0.9: 500, 0.95: 1000}
 
 
-def _mp_map(dom):
-    """P in mpmath, from the closed forms of the catalog."""
-    if isinstance(dom, HalfPlane):
-        return lambda w: (1 + (1 - 2 * mpmath.mpf(dom.alpha)) * w) / (1 - w)
-    if isinstance(dom, Janowski):
-        return lambda w: (1 + mpmath.mpc(dom.A) * w) / (1 + mpmath.mpc(dom.B) * w)
-    if isinstance(dom, Sector):
-        return lambda w: ((1 + w) / (1 - w)) ** mpmath.mpf(dom.beta)
-    k = mpmath.mpf(dom.k)
-
-    def conic(w):
-        ell = mpmath.log((1 + mpmath.sqrt(w)) / (1 - mpmath.sqrt(w)))
-        if k == 1:
-            return 1 + 2 / mpmath.pi**2 * ell**2
-        return (mpmath.cosh(2 / mpmath.pi * mpmath.acos(k) * ell) - k**2) / (1 - k**2)
-
-    return conic
-
-
 def _mp_tower(gamma, z, w):
     for a in gamma[:0:-1]:
         a = mpmath.mpc(a)
@@ -110,7 +93,7 @@ def _mp_tower(gamma, z, w):
 
 @mpmath.workdps(50)
 def _tower_reference(dom, gamma, j, z0, eps):
-    p, z0, eps = _mp_map(dom), mpmath.mpc(z0), mpmath.mpc(eps)
+    p, z0, eps = mp_map(dom), mpmath.mpc(z0), mpmath.mpc(eps)
     base = p(mpmath.mpc(gamma[0]))
     return complex(mpmath.quad(
         lambda zeta: zeta**j * (p(_mp_tower(gamma, zeta, eps * zeta)) - base),

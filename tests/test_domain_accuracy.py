@@ -45,6 +45,8 @@ import pytest
 from schurvar import ConicSection, Sector
 from schurvar import domains
 
+from mp_maps import mp_map
+
 SECTOR_BOUND = 1e-15
 SECTOR_NEAR_ONE_BOUND = 2 * np.finfo(float).eps  # times 1 + beta |Re ell(z)|, near +1
 KUCV_BOUND = 1e-14
@@ -84,18 +86,7 @@ MAPS = [Sector(0.1), Sector(0.5), Sector(1.0),
 
 
 def _reference(dom, z: complex) -> complex:
-    return complex(_reference_mp(dom, mpmath.mpc(z.real, z.imag)))
-
-
-def _reference_mp(dom, z: mpmath.mpc) -> mpmath.mpc:
-    if isinstance(dom, Sector):
-        return mpmath.power((1 + z) / (1 - z), dom.beta)
-    ell = mpmath.log((1 + mpmath.sqrt(z)) / (1 - mpmath.sqrt(z)))
-    if dom.k == 1:
-        return 1 + 2 / mpmath.pi**2 * ell**2
-    a = 2 / mpmath.pi * mpmath.acos(dom.k)
-    k2 = mpmath.mpf(dom.k) ** 2
-    return (mpmath.cosh(a * ell) - k2) / (1 - k2)
+    return complex(mp_map(dom)(mpmath.mpc(z.real, z.imag)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,7 +182,8 @@ def _cauchy_coefficients(dom, order: int, count: int = 256) -> np.ndarray:
     with mpmath.workdps(40):
         r = mpmath.mpf(1) / 2
         roots = [mpmath.expjpi(mpmath.mpf(2 * m) / count) for m in range(count)]
-        samples = [_reference_mp(dom, r * w) for w in roots]
+        ref = mp_map(dom)
+        samples = [ref(r * w) for w in roots]
         return np.array([
             complex(mpmath.fsum(samples[m] * roots[-m * p % count] for m in range(count)) / (count * r**p))
             for p in range(order + 1)
