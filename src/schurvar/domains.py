@@ -344,8 +344,9 @@ def _fmt_param(v: complex) -> str:
 def make_domain(spec: DomainSpec) -> DomainMap:
     """Build a catalog map from a parsed spec.
 
-    Unknown kinds, missing parameters, and out-of-range values raise
-    ValueError with a descriptive message.
+    A bad spec raises ValueError for the first fault in this order: an
+    unknown kind; each parameter in turn, missing before not real; the
+    map's own range checks; then unexpected names.
     """
     kinds = {c.kind: c for c in (HalfPlane, Sector, Janowski, ConicSection)}
     if spec.kind not in kinds:
@@ -354,22 +355,15 @@ def make_domain(spec: DomainSpec) -> DomainMap:
     params = dict(spec.params)
     args = []
     for name, typ in cls.params.items():
-        if name in params:
-            v = params.pop(name)
-        elif hasattr(cls, name):
-            v = getattr(cls, name)
-        else:
+        if name not in params and not hasattr(cls, name):
             raise ValueError(f"domain kind '{spec.kind}' requires parameter '{name}'")
-        args.append(_as_real(v, name) if typ is float else complex(v))
+        v = complex(params.pop(name, getattr(cls, name, None)))
+        if typ is float and v.imag != 0:
+            raise ValueError(f"parameter '{name}' must be real")
+        args.append(v.real if typ is float else v)
     dom = cls(*args)
     if params:
         extra = ", ".join(sorted(params))
         raise ValueError(f"unexpected parameter(s) for '{spec.kind}': {extra}")
     return dom
 
-
-def _as_real(v, name: str) -> float:
-    v = complex(v)
-    if v.imag != 0:
-        raise ValueError(f"parameter '{name}' must be real")
-    return v.real
