@@ -372,9 +372,8 @@ def _line_distances(p: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
     inv = 1.0 / np.abs(e)
     out = np.empty(len(q))
     for i in range(0, len(q), 32):
-        qs = q[i : i + 32, None]
-        cross = (qs.imag - p.imag) * e.real - (qs.real - p.real) * e.imag
-        out[i : i + 32] = np.min(cross * inv, axis=1)
+        d = q[i : i + 32, None] - p
+        out[i : i + 32] = np.min((d.imag * e.real - d.real * e.imag) * inv, axis=1)
     return out
 
 
