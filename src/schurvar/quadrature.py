@@ -4,18 +4,21 @@ Integrals here are always of the form  int_0^{z_end} f(zeta) d(zeta)
 along the straight segment zeta(t) = t z_end, t in [0, 1].  All nodes
 are interior, so a removable singularity at the origin (a 1/zeta weight
 against a vanishing numerator) needs no special case.  Two schemes
-share the 15-point Gauss rule:
+use Gauss rules:
 
 * ``integrate_segment`` is adaptive.  Each panel is the G15/K31
   Gauss-Kronrod pair (QUADPACK qk31), its error estimate is |K31 - G15|,
   and panels failing their share of the budget are bisected.
 * ``_gauss_segment`` plans its panels before it evaluates anything.  On
-  a panel of centre c and half-length h in t, G15 errs by at most
-  |z_end| h (64/15) M rho^-30 / (rho^2 - 1) for an integrand bounded by
-  M inside the panel's Bernstein ellipse E_rho (Trefethen, Approximation
-  Theory and Approximation Practice, SIAM 2013, Thm 19.3).  E_rho reaches
-  out to |zeta| = |z_end| (c + h (rho + 1/rho)/2), and the caller bounds
-  the integrand on that disk.  The bound covers truncation, not rounding.
+  a panel of centre c and half-length h in t, the N-point Gauss rule
+  errs by at most |z_end| h (64/15) M rho^(2 - 2N) / (rho^2 - 1) for an
+  integrand bounded by M inside the panel's Bernstein ellipse E_rho
+  (Trefethen, Approximation Theory and Approximation Practice, SIAM
+  2013, Thm 19.3, whose n + 1 points are N).  E_rho reaches out to
+  |zeta| = |z_end| (c + h (rho + 1/rho)/2), and the caller bounds the
+  integrand on that disk.  Each panel takes the fewest nodes of
+  N = 10, 15, 20, 30 that meet its share of the budget.  The bound
+  covers truncation, not rounding.
 """
 
 from __future__ import annotations
@@ -92,10 +95,58 @@ def _rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, wk, wd
 
 
+# The other Gauss-Legendre rules of the planned kernel, each given by
+# its positive nodes (descending) and their weights, correctly rounded.
+_GAUSS = {
+    10: (
+        (0.9739065285171717, 0.06667134430868814),
+        (0.8650633666889845, 0.1494513491505806),
+        (0.6794095682990244, 0.21908636251598204),
+        (0.4333953941292472, 0.26926671930999635),
+        (0.14887433898163122, 0.29552422471475287),
+    ),
+    20: (
+        (0.9931285991850949, 0.017614007139152118),
+        (0.9639719272779138, 0.04060142980038694),
+        (0.912234428251326, 0.06267204833410907),
+        (0.8391169718222188, 0.08327674157670475),
+        (0.7463319064601508, 0.10193011981724044),
+        (0.636053680726515, 0.11819453196151841),
+        (0.5108670019508271, 0.13168863844917664),
+        (0.37370608871541955, 0.14209610931838204),
+        (0.22778585114164507, 0.14917298647260374),
+        (0.07652652113349734, 0.15275338713072584),
+    ),
+    30: (
+        (0.9968934840746495, 0.007968192496166605),
+        (0.9836681232797472, 0.01846646831109096),
+        (0.9600218649683075, 0.02878470788332337),
+        (0.9262000474292743, 0.03879919256962705),
+        (0.8825605357920527, 0.04840267283059405),
+        (0.8295657623827684, 0.057493156217619065),
+        (0.7677774321048262, 0.06597422988218049),
+        (0.6978504947933158, 0.0737559747377052),
+        (0.6205261829892429, 0.08075589522942021),
+        (0.5366241481420199, 0.08689978720108298),
+        (0.44703376953808915, 0.09212252223778612),
+        (0.3527047255308781, 0.09636873717464425),
+        (0.25463692616788985, 0.09959342058679527),
+        (0.15386991360858354, 0.1017623897484055),
+        (0.0514718425553177, 0.10285265289355884),
+    ),
+}
+# The planned kernel's node counts, fewest first.
+_SIZES = (10, 15, 20, 30)
+
+
 @functools.cache
-def _gauss() -> tuple[np.ndarray, np.ndarray]:
-    """The 15-point Gauss rule on [-1, 1]: the odd-indexed K31 nodes."""
-    return _rule()[0][1::2], np.asarray(_WG15 + _WG15[-2::-1])
+def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule on [-1, 1], nodes ascending; for n = 15 the
+    odd-indexed K31 nodes."""
+    if n == 15:
+        return _rule()[0][1::2], np.asarray(_WG15 + _WG15[-2::-1])
+    x, w = np.array(_GAUSS[n]).T
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
 
 
 @dataclass(frozen=True)
@@ -220,14 +271,22 @@ _MAX_PANELS = 64
 _REACH = 0.8
 
 
-def _panel_bound(a: float, b: float, r: float, sup: Callable[[float], float]) -> float:
-    """The G15 bound on [a, b] for an endpoint of modulus r."""
+def _panel(
+    a: float, b: float, r: float, sup: Callable[[float], float], tol: float
+) -> tuple[float, float, int, float]:
+    """(a, b, n, bound): the fewest nodes n of _SIZES whose bound on [a, b]
+    for an endpoint of modulus r meets tol (b - a), else 30, and its bound."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     # (rho + 1/rho)/2 = half puts the ellipse's far end on |zeta| = 1.
     half = (1 / r - c) / h
     rho = 1 + _REACH * (half + math.sqrt(half * half - 1) - 1)
     s = r * (c + 0.5 * h * (rho + 1 / rho))
-    return r * h * (64 / 15) * sup(s) * rho**-30 / (rho * rho - 1)
+    scale = r * h * (64 / 15) * sup(s) / (rho * rho - 1)
+    for n in _SIZES:
+        bound = scale * rho ** (2 - 2 * n)
+        if bound <= tol * (b - a):
+            break
+    return a, b, n, bound
 
 
 def _gauss_segment(
@@ -239,11 +298,12 @@ def _gauss_segment(
     """The integrals along [0, z_end[c]], one per column c, and their bound.
 
     0 < |z_end| < 1, and sup(s) bounds the integrand on |zeta| <= s < 1.
-    Panels of [0, 1] are halved, up to _MAX_PANELS of them, until each
-    one's bound is at most tol (b - a); an array z_end is planned for its
-    largest modulus, whose bound covers every column.  The integrand is
-    then called once per panel on the G15 nodes, shape (15, 1), or
-    (15, m) with column c at t z_end[c], and returns one column per
+    Each panel of [0, 1] takes the fewest nodes N of 10, 15, 20 and 30
+    whose bound is at most tol (b - a); a panel that misses it at N = 30
+    is halved, up to _MAX_PANELS panels.  An array z_end is planned for
+    its largest modulus, whose bound covers every column.  The integrand
+    is then called once per panel on its N Gauss nodes, shape (N, 1), or
+    (N, m) with column c at t z_end[c], and returns one column per
     integral.  The bound returned is the sum of the panel bounds.
 
     Raises
@@ -256,22 +316,21 @@ def _gauss_segment(
     r = float(np.max(np.abs(z_end)))
     cuts = [0.0, 1.0]
     while True:
-        panels = list(zip(cuts, cuts[1:]))
-        bounds = [_panel_bound(a, b, r, sup) for a, b in panels]
+        panels = [_panel(a, b, r, sup, tol) for a, b in zip(cuts, cuts[1:])]
         # A NaN bound is short too.
-        short = [not e <= tol * (b - a) for (a, b), e in zip(panels, bounds)]
+        short = [not e <= tol * (b - a) for a, b, _, e in panels]
         if not any(short) or len(panels) + sum(short) > _MAX_PANELS:
             break
-        cuts = sorted(cuts + [0.5 * (a + b) for (a, b), cut in zip(panels, short) if cut])
-    x, w = _gauss()
+        cuts = sorted(cuts + [0.5 * (a + b) for (a, b, *_), cut in zip(panels, short) if cut])
     total = 0j
-    for a, b in panels:
+    for a, b, n, _ in panels:
+        x, w = _gauss(n)
         f = integrand((0.5 * (a + b) + 0.5 * (b - a) * x)[:, None] * z_end)
         with np.errstate(invalid="ignore", over="ignore"):
             total = total + 0.5 * (b - a) * (w @ f)
     with np.errstate(invalid="ignore", over="ignore"):
         total = z_end * total
-    bound = math.fsum(bounds)
+    bound = math.fsum(e for *_, e in panels)
     bad = tuple(np.flatnonzero(~np.isfinite(total)).tolist())
     if bad:
         raise QuadratureError(

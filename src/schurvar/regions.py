@@ -14,9 +14,9 @@ data the region is empty.  region_compute dispatches on the
 classification and returns the matching variant, tracing the boundary
 on the grid theta_m = -pi + 2 pi m / samples.  Every boundary point is
 an integral over the same segment [0, z0], so the whole trace is one
-batched quadrature: each 15-point Gauss panel evaluates all towers at
-once, on panels planned from a Schwarz-Pick bound of the integrand
-before any tower is evaluated (see _q).
+batched quadrature: each Gauss panel evaluates all towers at once, on
+panels and node counts (10 to 30 per panel) planned from a Schwarz-Pick
+bound of the integrand before any tower is evaluated (see _q).
 
 The polygon helpers below (orientation-tolerant convexity check,
 signed distance, symmetric Hausdorff distance against segments)
@@ -73,7 +73,7 @@ def _q(
     """Q_{gamma,j}(z0, .) for the towers over the leaf self-maps ``leaf``.
 
     The one integral kernel.  ``leaf(zeta)`` maps the panel nodes zeta,
-    shape (15, 1) for one endpoint z0 or (15, m) for an array z0 of one
+    shape (N, 1) for one endpoint z0 or (N, m) for an array z0 of one
     endpoint per tower, to one column of leaf values per tower, each of
     modulus at most |zeta| (eps zeta for a trace and for the extremal
     function, zeta B(zeta) for membership); every panel climbs all
@@ -82,9 +82,11 @@ def _q(
     (Schwarz-Pick), so sup(s) below bounds the integrand (for j = -1 by
     the maximum principle, as P(omega) - P(gamma_0) vanishes at 0).  The
     plan meets abs_tol, and so max(abs_tol, rel_tol |Q|).  Inputs are
-    checked before the plan; a quadrature failure names z0 (the failing
-    endpoints of an array), j, the domain and, via ``names``, the
-    columns.
+    checked before the plan.  A tower bound that rounds onto the rim at
+    |z0| raises QuadratureError before anything is evaluated, naming z0
+    (the endpoint of largest modulus of an array), j and the domain.
+    Any other quadrature failure names z0 (the failing endpoints of an
+    array), j, the domain and, via ``names``, the columns.
     """
     if j < -1:
         raise ValueError("weight exponent must satisfy j >= -1")
@@ -94,6 +96,15 @@ def _q(
     gamma = tuple(complex(v) for v in gamma)
     if not gamma or not all(abs(v) < 1 for v in gamma):
         raise ValueError("tower parameters must be given, each of modulus < 1")
+    r = float(np.max(np.abs(z0)))
+    if not _climb_bound(gamma, r) < 1:
+        # Every plan's last panel reaches past |z0|, where sup is infinite.
+        at = z0 if np.ndim(z0) == 0 else z0[np.argmax(np.abs(z0))]
+        raise QuadratureError(
+            f"the tower bound rounds onto the rim at |zeta| = {r}, so no plan meets the budget; "
+            f"z0 = {at}, j = {j}, domain {domain.spec_string()}",
+            complex("nan"), math.inf,
+        )
     base = domain.eval(gamma[0])
 
     def sup(s: float) -> float:

@@ -17,7 +17,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from schurvar import ConicSection, HalfPlane, Janowski, QuadratureConfig, Sector, q_point
+from schurvar import (
+    ConicSection, HalfPlane, Janowski, QuadratureConfig, QuadratureError, RegionRequest, Sector,
+    q_point, region_compute,
+)
 from schurvar import quadrature, regions
 from schurvar.schur import _climb, _climb_bound
 
@@ -193,9 +196,36 @@ def test_near_rim_point_meets_a_tight_budget():
 
 
 @pytest.mark.parametrize("dom", CATALOG[::3], ids=lambda d: d.spec_string())
-def test_tower_bound_rounded_onto_the_rim_plans_without_dividing_by_zero(dom):
-    # The climb of moduli rounds to 1, where max_modulus may divide by
-    # zero; the plan treats it as unbounded, and the map itself rejects
-    # the towers that round onto the rim.
-    with pytest.raises(ValueError, match=r"\|z\| < 1"):
+def test_tower_bound_rounded_onto_the_rim_raises_before_any_evaluation(monkeypatch, dom):
+    # The climb of moduli rounds to 1 at |z0|, so every plan's last panel
+    # is unbounded; the kernel says so before it evaluates anything.
+    def unevaluated(z):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(dom, "_eval", unevaluated)
+    with pytest.raises(QuadratureError, match=r"rounds onto the rim") as info:
         q_point(dom, (1 - 2**-53,), 0, 0.99, 1)
+    assert str(info.value).endswith(f"z0 = (0.99+0j), j = 0, domain {dom.spec_string()}")
+
+
+# Nodes per boundary point, panel by panel, for data (0, 0.3) and j = -1
+# at z0 = r e^{0.3i}; a fixed 15-point rule took 15, 30, 60 and 105.
+NODES_PER_POINT = (
+    (HalfPlane(), {0.5: [10], 0.8: [20], 0.95: [10, 10, 30], 0.99: [10, 10, 10, 10, 30]}),
+    (Sector(0.5), {0.5: [10], 0.8: [20], 0.95: [10, 30], 0.99: [10, 10, 10, 10, 30]}),
+)
+
+
+@pytest.mark.parametrize("dom, nodes", NODES_PER_POINT, ids=["halfplane", "sector"])
+def test_nodes_per_boundary_point(monkeypatch, dom, nodes):
+    rows = []
+    plan = quadrature._gauss_segment
+
+    def spy(integrand, *args):
+        return plan(lambda zeta: (rows.append(len(zeta)), integrand(zeta))[1], *args)
+
+    monkeypatch.setattr(regions, "_gauss_segment", spy)
+    for r, want in nodes.items():
+        rows.clear()
+        region_compute(RegionRequest(dom, (0, 0.3), -1, r * cmath.exp(0.3j), samples=16))
+        assert rows == want, r

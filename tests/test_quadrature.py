@@ -1,13 +1,16 @@
 """Adaptive contour quadrature against termwise and closed-form integrals."""
 
 import cmath
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from schurvar import QuadratureConfig, QuadratureError, Sector, integrate_segment, q_point
-from schurvar.quadrature import _gauss, _gauss_segment, _rule
+from schurvar.quadrature import _SIZES, _gauss, _gauss_segment, _rule
 from schurvar.regions import _q_eps
+
 
 def test_gauss_nodes_and_weights_match_numpy():
     x, wk, wd = _rule()
@@ -17,9 +20,94 @@ def test_gauss_nodes_and_weights_match_numpy():
     # The Kronrod-only nodes carry no Gauss weight.
     assert np.array_equal(wk[::2], wd[::2])
     # The planned kernel's rule is the Gauss half of the pair.
-    x15, w15 = _gauss()
+    x15, w15 = _gauss(15)
     assert np.array_equal(x15, x[1::2])
     assert np.max(np.abs(w15 - gw)) <= 1e-15
+
+
+@mpmath.workdps(40)
+def _mp_gauss(n):
+    """The n-point Gauss-Legendre rule in 40 digits, nodes ascending:
+    Newton's method on P_n from the Chebyshev-like first guesses."""
+    nodes, weights = [], []
+    for i in range(1, n + 1):
+        x = -mpmath.cos(mpmath.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = mpmath.mpf(1), x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            x, step = x - p1 / dp, p1 / dp
+            if abs(step) < mpmath.mpf(10) ** -45:
+                break
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_gauss_rule_is_correctly_rounded(n):
+    x, w = _gauss(n)
+    assert x.shape == w.shape == (n,)
+    for got, want in zip(np.concatenate([x, w]).tolist(), sum(_mp_gauss(n), [])):
+        # Within half an ulp of the 40-digit value (0 is exact).
+        assert abs(mpmath.mpf(got) - want) <= math.ulp(got) / 2, (got, want)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert np.all(w > 0) and np.array_equal(w, w[::-1])
+    for k in range(2 * n):
+        want = 0.0 if k % 2 else 2 / (k + 1)
+        assert abs(w @ x**k - want) <= 1e-15, k
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_gauss_bound_covers_chebyshev_polynomials(n):
+    # T_{2n} is the first Chebyshev polynomial the n-point rule misses,
+    # and on E_rho |T_{2n}| <= M = (rho^2n + rho^-2n)/2.  The planner's
+    # bound (64/15) M rho^(2 - 2n)/(rho^2 - 1) covers its error; with
+    # rho^-2n in place of rho^(2 - 2n), as once planned, it would not.
+    x, w = _gauss(n)
+    err = abs(w @ np.cos(2 * n * np.arccos(x)) - 2 / (1 - 4 * n * n))
+    assert err > 1.5
+    for rho in (1.5, 2.0, 5.0):
+        m = (rho ** (2 * n) + rho ** (-2 * n)) / 2
+        assert err <= (64 / 15) * m * rho ** (2 - 2 * n) / (rho * rho - 1)
+    assert err > (64 / 15) * m * rho ** (-2 * n) / (rho * rho - 1)
+
+
+def _reference_plan(a, b, r, sup, tol):
+    """(n, bound) per panel of [a, b], written out from the planner's
+    contract: the fewest nodes whose Gauss bound on the panel's ellipse,
+    rho 0.8 of the way to the one touching |zeta| = 1, meets tol (b - a);
+    halves only where 30 nodes miss."""
+    c, h = (a + b) / 2, (b - a) / 2
+    half = (1 / r - c) / h
+    rho = 1 + 0.8 * (half + math.sqrt(half * half - 1) - 1)
+    m = sup(r * (c + h * (rho + 1 / rho) / 2))
+    for n in (10, 15, 20, 30):
+        bound = r * h * (64 / 15) * m * rho ** (2 - 2 * n) / (rho * rho - 1)
+        if bound <= tol * (b - a):
+            return [(n, bound)]
+    return _reference_plan(a, c, r, sup, tol) + _reference_plan(c, b, r, sup, tol)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.8, 0.95, 0.99, 0.999])
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+def test_plan_takes_the_fewest_nodes_and_sums_their_bounds(r, tol):
+    def sup(s):
+        return 3 / (1 - s) ** 2
+
+    rows = []
+
+    def f(zeta):
+        rows.append(zeta.shape)
+        return np.ones_like(zeta)
+
+    z_end = r * cmath.exp(0.4j)
+    total, bound = _gauss_segment(f, z_end, sup, tol)
+    want = _reference_plan(0.0, 1.0, r, sup, tol)
+    assert rows == [(n, 1) for n, _ in want]
+    assert bound == pytest.approx(math.fsum(e for _, e in want), rel=1e-12)
+    assert abs(total[0] - z_end) <= 1e-15
 
 
 def test_kronrod_weights_integrate_monomials_exactly():
@@ -186,8 +274,17 @@ def test_non_finite_kronrod_sum_raises(col):
 
 
 @NON_FINITE
-def test_non_finite_gauss_sum_names_only_its_column(col):
+@pytest.mark.parametrize("tol, n", [(1e-12, 10), (1e-40, 30)])
+def test_non_finite_gauss_sum_names_only_its_column(col, tol, n):
+    rows = []
+
+    def f(zeta):
+        rows.append(len(zeta))
+        return _with_column(col)(zeta)
+
     with pytest.raises(QuadratureError) as info:
-        _gauss_segment(_with_column(col), 0.5, lambda s: 1.0, 1e-12)
+        _gauss_segment(f, 0.5, lambda s: 1.0, tol)
+    # One panel, planned with n nodes.
+    assert rows == [n]
     assert info.value.columns == (1,)
     assert "non-finite" in str(info.value) and "column(s) [1]" in str(info.value)
