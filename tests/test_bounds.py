@@ -209,7 +209,7 @@ def test_tower_bound_rounded_onto_the_rim_raises_before_any_evaluation(monkeypat
 
 
 # Nodes per boundary point, panel by panel, for data (0, 0.3) and j = -1
-# at z0 = r e^{0.3i}; a fixed 15-point rule took 15, 30, 60 and 105.
+# at z0 = r e^{0.3i} and the default budget.
 NODES_PER_POINT = (
     (HalfPlane(), {0.5: [10], 0.8: [20], 0.95: [10, 10, 30], 0.99: [10, 10, 10, 10, 30]}),
     (Sector(0.5), {0.5: [10], 0.8: [20], 0.95: [10, 30], 0.99: [10, 10, 10, 10, 30]}),
