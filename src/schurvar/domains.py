@@ -98,7 +98,7 @@ class DomainMap:
         An array gives a new array; z itself is never written.
         """
         z = np.asarray(z, dtype=complex)
-        if not np.all(np.abs(z) < 1):
+        if not np.abs(z).max(initial=0) < 1:
             raise ValueError("domain map argument must satisfy |z| < 1")
         w = self._eval(z)
         return w if z.ndim else complex(w)

@@ -33,7 +33,7 @@ from ._lazy import np
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, integrate_segment
 # q_point and mobius_eval stay importable here (bench/tracing.py patches them).
-from .regions import _next, _q, _q_eps, _thetas, polygon_signed_distance, q_point  # noqa: F401
+from .regions import _grid, _next, _q, _q_eps, _thetas, polygon_signed_distance, q_point  # noqa: F401
 from .schur import _climb, mobius_eval  # noqa: F401
 
 __all__ = [
@@ -271,8 +271,10 @@ def membership_trial(
     runs the first k trials of any longer run.  All leaves are drawn
     first; then one region-kernel call, one column per trial, integrates
     zeta^j (g - g(0)) along [0, z0], and the integrals are tested
-    against the polygon inflated by ``inflation``.  The kernel checks
-    gamma, j and z0, and a quadrature failure names the trials.
+    against the polygon inflated by ``inflation``.  The polygon is traced
+    on the trace grid shared with region_compute (regions._grid, whose
+    eps is read-only).  The kernel checks gamma, j and z0, and a
+    quadrature failure names the trials.
 
     The test measures only the candidates of _hull_candidates.  The
     polygon is convex, as polygon_signed_distance requires, so the
@@ -305,7 +307,7 @@ def membership_trial(
         lambda zeta: _blaschke_leaf(phase, zeros, used, zeta), cfg,
         lambda cols: f"trials {list(cols[:4])}",
     )
-    pts = _q_eps(domain, gamma, j, z0, np.exp(1j * _thetas(samples)), cfg)
+    pts = _q_eps(domain, gamma, j, z0, _grid(samples)[1], cfg)
     if inflation > -math.inf:
         keep = _hull_candidates(values, np.max(np.abs(np.concatenate((values, pts)).view(float))))
         if len(keep) < trials:

@@ -279,7 +279,8 @@ def _panel(
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     # (rho + 1/rho)/2 = half puts the ellipse's far end on |zeta| = 1.
     half = (1 / r - c) / h
-    rho = 1 + _REACH * (half + math.sqrt(half * half - 1) - 1)
+    # sqrt(half^2 - 1) in factors: half^2 overflows for |z_end| below about 1.5e-154.
+    rho = 1 + _REACH * (half + math.sqrt(half - 1) * math.sqrt(half + 1) - 1)
     s = r * (c + 0.5 * h * (rho + 1 / rho))
     scale = r * h * (64 / 15) * sup(s) / (rho * rho - 1)
     for n in _SIZES:
@@ -304,7 +305,10 @@ def _gauss_segment(
     its largest modulus, whose bound covers every column.  The integrand
     is then called once per panel on its N Gauss nodes, shape (N, 1), or
     (N, m) with column c at t z_end[c], and returns one column per
-    integral.  The bound returned is the sum of the panel bounds.
+    integral.  The integrand runs, with the sums, under one np.errstate
+    that silences overflow and invalid values: a non-finite column is
+    raised, not warned about.  The bound returned is the sum of the panel
+    bounds.
 
     Raises
     ------
@@ -313,7 +317,7 @@ def _gauss_segment(
         or if the capped plan still misses tol (every column is named,
         with its estimate and the bound reached).
     """
-    r = float(np.max(np.abs(z_end)))
+    r = float(np.abs(z_end).max()) if isinstance(z_end, np.ndarray) else float(np.abs(z_end))
     cuts = [0.0, 1.0]
     while True:
         panels = [_panel(a, b, r, sup, tol) for a, b in zip(cuts, cuts[1:])]
@@ -323,16 +327,15 @@ def _gauss_segment(
             break
         cuts = sorted(cuts + [0.5 * (a + b) for (a, b, *_), cut in zip(panels, short) if cut])
     total = 0j
-    for a, b, n, _ in panels:
-        x, w = _gauss(n)
-        f = integrand((0.5 * (a + b) + 0.5 * (b - a) * x)[:, None] * z_end)
-        with np.errstate(invalid="ignore", over="ignore"):
-            total = total + 0.5 * (b - a) * (w @ f)
     with np.errstate(invalid="ignore", over="ignore"):
+        for a, b, n, _ in panels:
+            x, w = _gauss(n)
+            f = integrand((0.5 * (a + b) + 0.5 * (b - a) * x)[:, None] * z_end)
+            total = total + 0.5 * (b - a) * (w @ f)
         total = z_end * total
     bound = math.fsum(e for *_, e in panels)
-    bad = tuple(np.flatnonzero(~np.isfinite(total)).tolist())
-    if bad:
+    if not np.isfinite(total).all():
+        bad = tuple(np.flatnonzero(~np.isfinite(total)).tolist())
         raise QuadratureError(
             f"non-finite integrand value or Gauss sum on [0, z_end[c]] in column(s) {list(bad)}",
             total, np.full(len(total), math.inf), bad,

@@ -29,6 +29,7 @@ Only queries outside are measured against the clipped segments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -61,6 +62,16 @@ def _thetas(samples: int) -> np.ndarray:
     return -np.pi + 2 * np.pi * np.arange(samples) / samples
 
 
+@functools.lru_cache(maxsize=8)
+def _grid(samples: int) -> tuple[tuple[float, ...], np.ndarray]:
+    """The trace grid of _thetas(samples): theta as floats and the read-only
+    leaves eps = exp(i theta), built once and shared by every trace."""
+    thetas = _thetas(samples)
+    eps = np.exp(1j * thetas)
+    eps.flags.writeable = False
+    return tuple(thetas.tolist()), eps
+
+
 def _q(
     domain: DomainMap,
     gamma: Sequence[complex],
@@ -86,20 +97,31 @@ def _q(
     |z0| raises QuadratureError before anything is evaluated, naming z0
     (the endpoint of largest modulus of an array), j and the domain.
     Any other quadrature failure names z0 (the failing endpoints of an
-    array), j, the domain and, via ``names``, the columns.
+    array), j, the domain and, via ``names``, the columns.  ``leaf`` must
+    not write what it reads: a trace's leaves are the shared, read-only
+    eps of _grid.
     """
     if j < -1:
         raise ValueError("weight exponent must satisfy j >= -1")
-    z0 = complex(z0) if np.ndim(z0) == 0 else np.asarray(z0, dtype=complex)
-    if not np.all((0 < np.abs(z0)) & (np.abs(z0) < 1)):
+    scalar = np.ndim(z0) == 0
+    if scalar:
+        # numpy's modulus, which the plan reads; Python's abs differs in the last bit.
+        z0 = complex(z0)
+        r = float(np.abs(z0))
+        ok = 0 < r < 1
+    else:
+        z0 = np.asarray(z0, dtype=complex)
+        mod = np.abs(z0)
+        r = float(mod.max())
+        ok = 0 < mod.min() and r < 1
+    if not ok:
         raise ValueError("z0 must satisfy 0 < |z0| < 1")
     gamma = tuple(complex(v) for v in gamma)
     if not gamma or not all(abs(v) < 1 for v in gamma):
         raise ValueError("tower parameters must be given, each of modulus < 1")
-    r = float(np.max(np.abs(z0)))
     if not _climb_bound(gamma, r) < 1:
         # Every plan's last panel reaches past |z0|, where sup is infinite.
-        at = z0 if np.ndim(z0) == 0 else z0[np.argmax(np.abs(z0))]
+        at = z0 if scalar else z0[np.argmax(mod)]
         raise QuadratureError(
             f"the tower bound rounds onto the rim at |zeta| = {r}, so no plan meets the budget; "
             f"z0 = {at}, j = {j}, domain {domain.spec_string()}",
@@ -121,7 +143,7 @@ def _q(
     try:
         return _gauss_segment(f, z0, sup, (cfg or DEFAULT_CONFIG).abs_tol)[0]
     except QuadratureError as exc:
-        at = z0 if np.ndim(z0) == 0 else z0[list(exc.columns)][:4].tolist()
+        at = z0 if scalar else z0[list(exc.columns)][:4].tolist()
         raise QuadratureError(
             f"{exc}; {names(exc.columns)}, z0 = {at}, j = {j}, domain {domain.spec_string()}",
             exc.estimate,
@@ -140,7 +162,7 @@ def _q_eps(
 ) -> np.ndarray:
     """_q over the extremal leaves eps * zeta, one column per entry of eps."""
     eps = np.asarray(eps, dtype=complex)
-    if not np.all(np.abs(eps) <= 1 + 1e-12):
+    if not np.abs(eps).max(initial=0) <= 1 + 1e-12:
         raise ValueError("leaf parameter must satisfy |eps| <= 1")
     return _q(
         domain, gamma, j, z0, lambda zeta: eps * zeta, cfg,
@@ -293,7 +315,9 @@ def region_compute(req: RegionRequest) -> RegionResult:
     grid; boundary data the single attainable value; exterior data the
     empty region.  A trace with two consecutive equal points cannot
     happen for valid interior data (the leaf map is injective), so it
-    is reported as an error rather than silently returned.
+    is reported as an error rather than silently returned.  The grid
+    (theta and its leaves eps) comes from _grid: built once per sample
+    count and shared by every trace, with eps read-only.
     """
     sp = schur_parameters(req.data)
     if sp.classification is Classification.EXTERIOR:
@@ -302,13 +326,13 @@ def region_compute(req: RegionRequest) -> RegionResult:
         prefix = sp.gamma[: sp.boundary_index + 1]
         w0 = single_point_value(req.domain, prefix, req.j, req.z0, req.quad)
         return RegionResult.single_point(w0, sp)
-    thetas = _thetas(req.samples)
-    pts = _q_eps(req.domain, sp.gamma, req.j, req.z0, np.exp(1j * thetas), req.quad)
+    thetas, eps = _grid(req.samples)
+    pts = _q_eps(req.domain, sp.gamma, req.j, req.z0, eps, req.quad)
     if np.any(pts == _next(pts)):
         raise RuntimeError("trace degenerate")
     poly = RegionPolygon(
         points=pts,
-        thetas=tuple(thetas.tolist()),
+        thetas=thetas,
         z0=req.z0,
         j=req.j,
         gamma=sp.gamma,

@@ -22,8 +22,8 @@ def tool(monkeypatch):
     return importlib.import_module("bench_pairs")
 
 
-def _run(value: float) -> dict:
-    return {"correct": True, "attempted": 10, "failed": 0,
+def _run(value: float, minflt: int = 0) -> dict:
+    return {"correct": True, "attempted": 10, "failed": 0, "minflt": minflt,
             "metrics": {m["name"]: {"value": value} for m in END_TO_END}}
 
 
@@ -41,6 +41,15 @@ def test_a_win_is_a_strictly_better_change(tool):
         assert got["parent"]["runs"] == list(parent)
         assert got["change"]["runs"] == list(change)
     assert report["correct"] == {"parent": [True] * 4, "change": [True] * 4}
+
+
+def test_page_faults_are_kept_per_run_and_summarized_per_side(tool):
+    runs = {"parent": [_run(1.0, f) for f in (50, 54, 5)],
+            "change": [_run(1.0, f) for f in (53, 52)]}
+    report = tool._workload_report(runs, END_TO_END)
+    assert report["minflt"]["parent"] == {"median": 50, "q1": 27.5, "q3": 52.0, "runs": [50, 54, 5]}
+    assert report["minflt"]["change"]["runs"] == [53, 52]
+    assert report["minflt"]["change"]["median"] == 52.5
 
 
 def test_summary_of_one_run(tool):

@@ -194,6 +194,12 @@ def test_eval_outside_disk_rejected():
                 d.eval(np.array([0.1, z]))
 
 
+def test_eval_of_no_points():
+    for d in (HalfPlane(), Sector(0.5), Janowski(2, -1), ConicSection(0.5)):
+        got = d.eval(np.array([], dtype=complex))
+        assert got.shape == (0,)
+
+
 def test_taylor_memoized_and_consistent():
     d = Sector(0.7)
     assert d.taylor(5) is d.taylor(5)

@@ -28,6 +28,7 @@ from schurvar import (
     region_compute,
     single_point_value,
 )
+from schurvar import regions
 from schurvar.oracle import gronwall_curve, membership_trial
 
 HP = HalfPlane()
@@ -130,6 +131,49 @@ def test_q_point_validation():
         q_point(HP, (0j, nan), -1, 0.5, 1.0)
     with pytest.raises(ValueError, match="eps"):
         q_point(HP, (0j,), -1, 0.5, nan)
+    for z0 in (nan, complex(0.5, math.nan)):
+        with pytest.raises(ValueError, match=r"0 < \|z0\| < 1"):
+            q_point(HP, (0j,), -1, z0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "bad", [0j, 1.0, 0.6 + 0.8j, complex("nan")], ids=["zero", "one", "rim", "nan"]
+)
+def test_kernel_rejects_an_array_endpoint_with_one_bad_entry(bad):
+    z0 = np.array([0.5, 0.3j, bad, -0.2])
+    with pytest.raises(ValueError, match=r"^z0 must satisfy 0 < \|z0\| < 1$"):
+        regions._q(HP, (0j,), -1, z0, lambda zeta: zeta, None, str)
+
+
+def test_trace_grid_is_shared_and_read_only():
+    for n in (8, 256, 1000):
+        thetas, eps = regions._grid(n)
+        assert thetas == tuple(regions._thetas(n).tolist())
+        assert np.array_equal(eps, np.exp(1j * regions._thetas(n)))
+        assert regions._grid(n)[1] is eps
+        with pytest.raises(ValueError, match="read-only"):
+            eps[0] = 0
+    res = region_compute(RegionRequest(HP, (0j, 0.3), -1, 0.5, samples=8))
+    thetas, eps = regions._grid(8)
+    assert res.polygon.thetas is thetas
+    assert not np.shares_memory(regions._q_eps(HP, (0j, 0.3), -1, 0.5, eps, None), eps)
+
+
+@pytest.mark.parametrize("z0", [1e-300, 1e-200, 1e-154, 1e-20])
+@pytest.mark.parametrize("dom", [HP, Sector(0.5), ConicSection(0.5)], ids=lambda d: d.kind)
+def test_tiny_endpoint_is_planned(monkeypatch, dom, z0):
+    # half^2 - 1 overflowed below |z0| of about 1.5e-154, and the plan's bound read NaN.
+    bounds = []
+
+    def record(*args):
+        total, bound = plan(*args)
+        bounds.append(bound)
+        return total, bound
+
+    plan = regions._gauss_segment
+    monkeypatch.setattr(regions, "_gauss_segment", record)
+    assert abs(q_point(dom, (0j, 0.3), -1, z0, 1.0)) <= 1e-12
+    assert len(bounds) == 1 and math.isfinite(bounds[0])
 
 
 def test_q_point_vanishes_with_endpoint():

@@ -20,12 +20,20 @@ The output keeps every run's end-to-end metrics and, per side, their
 median and quartiles, with the number of pairs in which the change is
 better as BENCHMARK.json defines better.  It is rewritten after every
 pair, so an interrupted run keeps the pairs it finished.
+
+Each run also records its minor page faults (``minflt``): ru_minflt of
+``resource.getrusage(resource.RUSAGE_CHILDREN)`` read before and after
+it.  The count covers the run's whole process tree, the bench process
+with its set-up children and its cold CLI launches included, not the
+timed requests alone; each workload keeps the counts and their summary
+per side.
 """
 
 import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -52,8 +60,11 @@ def _export(rev: str, dest: Path) -> None:
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    res = json.loads(out.strip().splitlines()[-1])
+    res["minflt"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    return res
 
 
 def _summary(runs: list[float]) -> dict:
@@ -64,6 +75,7 @@ def _summary(runs: list[float]) -> dict:
 def _workload_report(runs: dict, end_to_end: list[dict]) -> dict:
     report = {key: {side: [r[key] for r in runs[side]] for side in SIDES}
               for key in ("correct", "attempted", "failed")}
+    report["minflt"] = {side: _summary([r["minflt"] for r in runs[side]]) for side in SIDES}
     report["metrics"] = {}
     for m in end_to_end:
         vals = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]] for side in SIDES}
@@ -114,6 +126,8 @@ def main() -> int:
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs of one side",
         "wins": "pairs in which the change's value is better than the parent's; "
                 "ties count for neither",
+        "minflt": "minor page faults of each run's whole process tree (set-up children and "
+                  "cold CLI launches included), from getrusage(RUSAGE_CHILDREN)",
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "host": f"{os.cpu_count()} CPUs, {platform.machine()}, "
