@@ -162,7 +162,7 @@ def test_trace_grid_is_shared_and_read_only():
 @pytest.mark.parametrize("z0", [1e-300, 1e-200, 1e-154, 1e-20])
 @pytest.mark.parametrize("dom", [HP, Sector(0.5), ConicSection(0.5)], ids=lambda d: d.kind)
 def test_tiny_endpoint_is_planned(monkeypatch, dom, z0):
-    # half^2 - 1 overflowed below |z0| of about 1.5e-154, and the plan's bound read NaN.
+    # The plan's half^2 would overflow below |z0| of about 1.5e-154; its bound must stay finite.
     bounds = []
 
     def record(*args):

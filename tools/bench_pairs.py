@@ -23,10 +23,11 @@ pair, so an interrupted run keeps the pairs it finished.
 
 Each run also records its minor page faults (``minflt``): ru_minflt of
 ``resource.getrusage(resource.RUSAGE_CHILDREN)`` read before and after
-it.  The count covers the run's whole process tree, the bench process
-with its set-up children and its cold CLI launches included, not the
-timed requests alone; each workload keeps the counts and their summary
-per side.
+it.  The count covers the run's whole process tree, not the timed
+requests alone: the bench process with the answer gates it runs after
+each timed call (most of a trace run's faults), its set-up children
+and its cold CLI launches.  Each workload keeps the counts and their
+summary per side.
 """
 
 import argparse
@@ -126,8 +127,8 @@ def main() -> int:
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs of one side",
         "wins": "pairs in which the change's value is better than the parent's; "
                 "ties count for neither",
-        "minflt": "minor page faults of each run's whole process tree (set-up children and "
-                  "cold CLI launches included), from getrusage(RUSAGE_CHILDREN)",
+        "minflt": "minor page faults of each run's whole process tree (answer gates, set-up "
+                  "children and cold CLI launches included), from getrusage(RUSAGE_CHILDREN)",
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "host": f"{os.cpu_count()} CPUs, {platform.machine()}, "
