@@ -257,7 +257,7 @@ def run(argv: Sequence[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, RuntimeError, ZeroDivisionError, OSError) as exc:
+    except (QuadratureError, RuntimeError, ZeroDivisionError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -316,7 +316,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
         )
         res = region_compute(req)
         if not res.is_region:
-            print("error: engine trace degenerated", file=sys.stderr)
+            # gronwall_curve took lambda < 1, but within 1e-12 of 1 the data reads as boundary.
+            print(f"error: engine trace degenerated ({res.kind})", file=sys.stderr)
             return 1
         payload = {"hausdorff": hausdorff(curve, res.polygon)}
         _write_out(_json_dumps(payload) + "\n", None)

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from ._lazy import np
 from .domains import DomainMap
-from .quadrature import QuadratureConfig, integrate_segment
+from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
 # q_point and mobius_eval stay importable here (bench/tracing.py patches them).
 from .regions import _grid, _next, _q, _q_eps, _thetas, polygon_signed_distance, q_point  # noqa: F401
 from .schur import _climb, mobius_eval  # noqa: F401
@@ -96,7 +96,8 @@ def h_transform(
     length n the engine integral satisfies
     (j+1) z0^{-(j+1)} Q(z0, eps) = H(eps z0^n) exactly, independent of
     the branch chosen, which makes H a sharp cross-check.  j >= 0 here;
-    the j = -1 weight belongs to the primitive K, not to H.
+    the j = -1 weight belongs to the primitive K, not to H.  A
+    quadrature failure names j, n, z and the domain.
     """
     if j < 0:
         raise ValueError("transform weight must satisfy j >= 0")
@@ -112,7 +113,13 @@ def h_transform(
     def f(zeta: np.ndarray) -> np.ndarray:
         return zeta**j * (domain.eval(zeta**n) - domain.eval(0))
 
-    integral = integrate_segment(f, root, cfg)
+    try:
+        integral = integrate_segment(f, root, cfg)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"{exc}; j = {j}, n = {n}, z = {z}, domain {domain.spec_string()}",
+            exc.estimate, exc.error_bound,
+        ) from exc
     power = (j + 1) / n
     denom = z ** (j + 1) if n == 1 else cmath.exp(power * cmath.log(z))
     return (j + 1) * integral / denom

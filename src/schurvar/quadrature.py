@@ -4,7 +4,8 @@ Integrals here are always of the form  int_0^{z_end} f(zeta) d(zeta)
 along the straight segment zeta(t) = t z_end, t in [0, 1].  All nodes
 are interior, so a removable singularity at the origin (a 1/zeta weight
 against a vanishing numerator) needs no special case.  Two schemes
-use Gauss rules:
+use Gauss rules, and both give up at _MAX_PANELS panels of [0, 1] (a
+cap on their count, as QUADPACK's, not on bisection depth):
 
 * ``integrate_segment`` is adaptive.  Each panel is the G15/K31
   Gauss-Kronrod pair (QUADPACK qk31), its error estimate is |K31 - G15|,
@@ -149,33 +150,34 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
 
 
+# Either integrator holds at most this many panels of [0, 1].
+_MAX_PANELS = 64
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and recursion limit.
+    """Tolerances.
 
     The region kernel plans against abs_tol alone, which also meets
-    max(abs_tol, rel_tol |Q|); rel_tol and max_depth are read only by
-    the adaptive integrate_segment.
+    max(abs_tol, rel_tol |Q|); rel_tol is read only by the adaptive
+    integrate_segment.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_depth: int = 30
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
 
 class QuadratureError(RuntimeError):
-    """Raised when a budget is not met (bisection hits max_depth, or a
-    plan its panel cap), or when the integrand returned a non-finite
-    value or finite values whose weighted sum overflows.
+    """Raised when a budget is not met within _MAX_PANELS panels (the
+    one cap of bisection and plan alike), or when the integrand returned
+    a non-finite value or finite values whose weighted sum overflows.
 
     Carries the best available estimate and its error bound (one per
     column for the planned kernel), and the indices of the failing
@@ -205,15 +207,15 @@ def integrate_segment(
     The estimated error of the result is at most
     max(abs_tol, rel_tol * |result|), the relative scale taken from a
     first whole-segment panel.  A panel that meets its share of that
-    budget (or lies at max_depth) is kept; the others go on to their
-    halves.  The integrand must be analytic on a neighborhood of the
-    segment, and is called once per panel on its 31 nodes, shape (31,).
+    budget is kept; the others are halved, up to _MAX_PANELS panels.
+    The integrand must be analytic on a neighborhood of the segment, and
+    is called once per panel on its 31 nodes, shape (31,).
     z_end = 0 gives the empty contour and an exact 0 without a call.
 
     Raises
     ------
     QuadratureError
-        If a panel still fails its budget at max_depth (the exception
+        If a panel still fails its budget at the cap (the exception
         carries the estimate and its error bound), or if a panel's
         Kronrod sum is non-finite: a non-finite integrand value (every
         Kronrod weight is positive, so no such value cancels) or finite
@@ -243,29 +245,26 @@ def integrate_segment(
     scale = abs(z_end)
     # Error budget in t-space, shared by panels in proportion to their length.
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(first) * scale) / scale
-    total, bound, failed = 0j, 0.0, False
-    stack = [(0.0, 1.0, 0, first, err0)]
+    total, bound, failed, leaves = 0j, 0.0, False, 1
+    stack = [(0.0, 1.0, first, err0)]
     while stack:
-        a, b, depth, val, err = stack.pop()
+        a, b, val, err = stack.pop()
         short = err > tol * (b - a)
-        if short and depth < cfg.max_depth:
+        if short and leaves < _MAX_PANELS:
+            leaves += 1
             m = 0.5 * (a + b)
-            stack.append((m, b, depth + 1, *panel(m, b)))
-            stack.append((a, m, depth + 1, *panel(a, m)))
+            stack.append((m, b, *panel(m, b)))
+            stack.append((a, m, *panel(a, m)))
         else:
             failed |= short
             total += val
             bound += err
     total, bound = complex(z_end * total), scale * bound
     if failed:
-        raise QuadratureError(
-            f"max depth {cfg.max_depth} exceeded without convergence on [0, {z_end}]", total, bound
-        )
+        raise QuadratureError(f"{leaves} panels miss the budget on [0, {z_end}]", total, bound)
     return total
 
 
-# A plan holds at most this many panels.
-_MAX_PANELS = 64
 # A panel's rho lies this share of the way from 1 to the rho of the
 # ellipse that touches the unit circle.
 _REACH = 0.8

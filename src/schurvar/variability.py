@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 from ._lazy import np
 from .domains import DomainMap
-from .quadrature import QuadratureConfig, integrate_segment
+from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
 # k_primitive and q_point stay importable from this module (bench/tracing.py patches them here).
 from .regions import (  # noqa: F401
     RegionRequest,
@@ -177,6 +177,8 @@ def extremal_f_eval(
     nodes from one kernel call, one endpoint per node; these inner
     integrals run at a tenth of the outer tolerance so their noise
     stays below the outer error estimate.  f(0) = 0 and f'(0) = 1.
+    A failure of the outer integral names eps, z and the domain; one of
+    an inner integral is raised as the kernel named it.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -187,15 +189,28 @@ def extremal_f_eval(
     if not abs(z) < 1:
         raise ValueError("argument must satisfy |z| < 1")
     tower = BlaschkeTower((0j,) + tuple(gamma), eps)
+    inner_failures = []
 
     def f(zeta: np.ndarray) -> np.ndarray:
-        q = _q(
-            domain, tower.gamma, -1, zeta, lambda w: tower.epsilon * w, inner,
-            lambda cols: f"eps = {tower.epsilon}",
-        )
+        try:
+            q = _q(
+                domain, tower.gamma, -1, zeta, lambda w: tower.epsilon * w, inner,
+                lambda cols: f"eps = {tower.epsilon}",
+            )
+        except QuadratureError as exc:
+            inner_failures.append(exc)
+            raise
         return np.exp(q)
 
-    return integrate_segment(f, z, cfg)
+    try:
+        return integrate_segment(f, z, cfg)
+    except QuadratureError as exc:
+        if inner_failures:
+            raise
+        raise QuadratureError(
+            f"{exc}; eps = {tower.epsilon}, z = {z}, domain {domain.spec_string()}",
+            exc.estimate, exc.error_bound,
+        ) from exc
 
 
 def extremal_coefficients(

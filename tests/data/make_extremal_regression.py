@@ -48,7 +48,7 @@ def _pair(v):
 def reference(domain, gamma, eps, z):
     """f(z) with one separate q_point quadrature per outer node."""
     cfg = QuadratureConfig()
-    inner = QuadratureConfig(cfg.abs_tol / 10, cfg.rel_tol / 10, cfg.max_depth)
+    inner = QuadratureConfig(cfg.abs_tol / 10, cfg.rel_tol / 10)
     full = (0j,) + tuple(complex(v) for v in gamma)
 
     def f(zeta):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurvar import cli
 from schurvar.cli import parse_complex, parse_domain, run
 
 
@@ -227,6 +228,15 @@ def test_compare_gronwall_subcommand(capsys):
     assert json.loads(out)["hausdorff"] <= 1e-9
 
 
+def test_compare_gronwall_boundary_data_exits_one(capsys):
+    # lambda < 1 passes gronwall_curve, but within 1e-12 of 1 the data
+    # (0, lambda) classifies as boundary and the trace is a single point.
+    code, out, err = capture(
+        capsys, ["compare-gronwall", "--z0", "0.6", "--lambda", "0.9999999999999", "--samples", "16"]
+    )
+    assert (code, out, err) == (1, "", "error: engine trace degenerated (single_point)\n")
+
+
 def test_membership_subcommand(capsys):
     code, out, _ = capture(
         capsys,
@@ -292,6 +302,20 @@ def test_os_errors_exit_one(capsys, tmp_path):
     )
     assert (code, out) == (1, "") and err.startswith("error: [Errno 2] ")
     assert not path.parent.exists()
+
+
+def test_memory_errors_exit_one(capsys, monkeypatch):
+    # A trace too large for memory is a computational failure, not a crash.
+    def too_large(req):
+        raise MemoryError("Unable to allocate 1.49 GiB")
+
+    monkeypatch.setattr(cli, "region_compute", too_large)
+    code, out, err = capture(
+        capsys,
+        ["region", "--domain", "halfplane", "--data", "0", "--j", "-1", "--z0", "0.5",
+         "--samples", "100000000"],
+    )
+    assert (code, out, err) == (1, "", "error: Unable to allocate 1.49 GiB\n")
 
 
 def test_byte_identical_reruns():

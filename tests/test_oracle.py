@@ -104,6 +104,15 @@ def test_h_transform_vanishes_at_origin():
     assert abs(h_transform(HP, 0, 1, 1e-6)) < 1e-4
 
 
+def test_h_transform_failure_names_inputs():
+    # Near the rim no 64 panels meet the default budget.
+    with pytest.raises(QuadratureError) as info:
+        h_transform(Janowski(2, -1), 1, 2, 0.9999)
+    text = str(info.value)
+    assert text.startswith("64 panels miss the budget on [0, ")
+    assert text.endswith("; j = 1, n = 2, z = (0.9999+0j), domain janowski:A=2,B=-1")
+
+
 def test_h_transform_validation():
     with pytest.raises(ValueError):
         h_transform(HP, -1, 1, 0.5)

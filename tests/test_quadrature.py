@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from schurvar import QuadratureConfig, QuadratureError, Sector, integrate_segment, q_point
-from schurvar.quadrature import _SIZES, _gauss, _gauss_segment, _rule
+from schurvar.quadrature import _MAX_PANELS, _SIZES, _gauss, _gauss_segment, _rule
 from schurvar.regions import _q_eps
 
 
@@ -203,13 +203,12 @@ def test_config_validation():
         QuadratureConfig(abs_tol=-1e-12)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=0)
 
 
 def test_divergent_integrand_raises_with_estimate():
     # Non-integrable pole on the path (off the dyadic node lattice, so
-    # no evaluation lands on it exactly): subdivision gives up at depth.
+    # no evaluation lands on it exactly): subdivision gives up at the
+    # panel cap.
     with pytest.raises(QuadratureError) as info:
         integrate_segment(lambda zeta: 1 / (0.51 - zeta), 1.0)
     err = info.value
@@ -217,10 +216,20 @@ def test_divergent_integrand_raises_with_estimate():
     assert cmath.isfinite(err.estimate)
 
 
-def test_shallow_depth_raises_sooner():
-    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-16, max_depth=2)
-    with pytest.raises(QuadratureError):
-        integrate_segment(lambda zeta: 1 / (1 - zeta), 0.9999, cfg)
+def test_hopeless_budget_stops_at_the_panel_cap():
+    # No panel count meets 1e-300, so bisection runs to the cap it shares
+    # with the planned kernel: 64 panels from 2 * 64 - 1 = 127 calls.
+    calls = []
+
+    def f(zeta):
+        calls.append(len(zeta))
+        return np.exp(zeta)
+
+    with pytest.raises(QuadratureError) as info:
+        integrate_segment(f, 0.5, QuadratureConfig(1e-300, 1e-300))
+    assert len(calls) <= 2 * _MAX_PANELS - 1 == 127
+    assert f"{_MAX_PANELS} panels" in str(info.value)
+    assert abs(info.value.estimate - (math.exp(0.5) - 1)) <= 1e-15
 
 
 def test_non_finite_integrand_raises():

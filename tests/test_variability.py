@@ -234,6 +234,30 @@ def test_extremal_f_eval_failure_names_failing_nodes():
         extremal_f_eval(HP, (0.3,), 1.0, 0.95, QuadratureConfig(1e-300, 1e-300))
     text = str(info.value)
     assert "eps = (1+0j), z0 = [(" in text and "domain halfplane" in text
+    # An inner failure is raised as the kernel named it, not named again.
+    assert text.count("domain ") == 1 and ", z = " not in text
+
+
+def test_extremal_f_eval_near_rim_failure_stops_at_the_cap(monkeypatch):
+    # At |z| = 0.9999 no outer plan meets the default budget: the outer
+    # integral gives up at the panel cap, and names its own inputs.
+    outer, calls = variability.integrate_segment, []
+
+    def counting_outer(f, z_end, cfg=None):
+        def g(zeta):
+            calls.append(zeta.shape)
+            return f(zeta)
+
+        return outer(g, z_end, cfg)
+
+    monkeypatch.setattr(variability, "integrate_segment", counting_outer)
+    with pytest.raises(QuadratureError) as info:
+        extremal_f_eval(HP, (0.3, 0.1), 1, 0.9999)
+    assert len(calls) <= 127
+    text = str(info.value)
+    assert text.startswith("64 panels miss the budget on [0, (0.9999+0j)]")
+    assert text.endswith("; eps = (1+0j), z = (0.9999+0j), domain halfplane:alpha=0")
+    assert text.count("domain ") == 1
 
 
 def test_extremal_f_eval_near_the_rim():
