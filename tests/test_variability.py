@@ -239,8 +239,8 @@ def test_extremal_f_eval_failure_names_failing_nodes():
 
 
 def test_extremal_f_eval_near_rim_failure_stops_at_the_cap(monkeypatch):
-    # At |z| = 0.9999 no outer plan meets the default budget: the outer
-    # integral gives up at the panel cap, and names its own inputs.
+    # At |z| = 0.9999 no 64 outer panels meet the default budget: the
+    # outer integral gives up at the cap, and names its own inputs.
     outer, calls = variability.integrate_segment, []
 
     def counting_outer(f, z_end, cfg=None):
