@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: schur, region, extremal, compare-gronwall, membership,
-h-check.  Results go to stdout (or --out) as JSON unless a region
-trace is exported as CSV or SVG; diagnostics go to stderr.  Output is
-byte-identical across runs for identical argv: every random draw is
-seeded and all formatting is fixed.
+h-check.  Each subparser names its handler with set_defaults(handler=...);
+the handler takes the parsed namespace, with --domain already built into
+a map, and returns its JSON payload as a dict, or the text of a region
+trace exported as CSV or SVG.  run alone writes that result, to stdout
+or --out, and maps failures to exit codes; diagnostics go to stderr.
+Output is byte-identical across runs for identical argv: every random
+draw is seeded and all formatting is fixed.
 
 Exit codes: 0 success (an empty region is a valid answer), 1
 computational failure, 2 usage error.
@@ -24,7 +27,6 @@ from typing import Sequence
 from ._lazy import np
 from .domains import DomainSpec, make_domain
 from .oracle import gronwall_curve, h_transform, membership_trial
-from .quadrature import QuadratureError
 from .regions import (
     RegionRequest,
     RegionResult,
@@ -33,7 +35,7 @@ from .regions import (
     region_compute,
 )
 from .schur import INF, schur_parameters
-from .variability import extremal_coefficients
+from .variability import FixedA2, VariabilityQuery, cv_region, extremal_coefficients
 
 __all__ = ["parse_complex", "parse_domain", "run", "main"]
 
@@ -103,31 +105,21 @@ def _c2j(v: complex) -> list[float]:
     return [v.real, v.imag]
 
 
-def _gamma_json(gamma) -> list:
-    return ["inf" if v is INF else _c2j(complex(v)) for v in gamma]
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, allow_nan=False, separators=(", ", ": "))
-
-
-def _emit_json_result(res: RegionResult) -> str:
+def _region_json(res: RegionResult) -> dict:
     if res.is_empty:
-        return _json_dumps({"variant": "empty"})
+        return {"variant": "empty"}
     if res.is_single_point:
-        return _json_dumps({"variant": "single_point", "w0": _c2j(res.w0)})
+        return {"variant": "single_point", "w0": _c2j(res.w0)}
     poly = res.polygon
     rows = [
         [th, p.real, p.imag] for th, p in zip(poly.thetas, poly.points)
     ]
-    return _json_dumps(
-        {
-            "variant": "region",
-            "j": poly.j,
-            "z0": _c2j(poly.z0),
-            "points": rows,
-        }
-    )
+    return {
+        "variant": "region",
+        "j": poly.j,
+        "z0": _c2j(poly.z0),
+        "points": rows,
+    }
 
 
 def _emit_csv(res: RegionResult) -> str:
@@ -163,14 +155,6 @@ def _emit_svg(res: RegionResult) -> str:
     )
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     # Built once: parsing does not change the parser.
@@ -183,6 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur", help="classify Caratheodory data")
     p.add_argument("--data", type=_parse_complex_list, required=True)
+    p.set_defaults(handler=_schur)
 
     p = sub.add_parser(
         "region",
@@ -197,6 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     p.add_argument("--out", default=None)
+    p.set_defaults(handler=_region)
 
     p = sub.add_parser(
         "extremal", help="Taylor coefficients of an extremal function"
@@ -210,6 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--eps", type=parse_complex, required=True)
     p.add_argument("--order", type=int, required=True)
+    p.set_defaults(handler=_extremal)
 
     p = sub.add_parser(
         "compare-gronwall",
@@ -219,6 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=parse_complex, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--samples", type=int, default=720)
+    p.set_defaults(handler=_compare_gronwall, domain=DomainSpec("halfplane", {}))
 
     p = sub.add_parser(
         "membership", help="Monte-Carlo membership check of random "
@@ -230,6 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=parse_complex, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
+    p.set_defaults(handler=_membership)
 
     p = sub.add_parser(
         "h-check",
@@ -241,125 +230,122 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(handler=_h_check)
 
     return ap
 
 
 def run(argv: Sequence[str]) -> int:
-    """Run the CLI on argv (no program name); returns the exit code."""
+    """Run the CLI on argv (no program name); returns the exit code.
+
+    The one place that builds the domain map, writes a handler's result
+    and turns a failure into its exit code: ValueError 2, any other 1.
+    """
     ap = _build_parser()
     try:
         ns = ap.parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _dispatch(ns)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (QuadratureError, RuntimeError, ZeroDivisionError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _dispatch(ns: argparse.Namespace) -> int:
-    if ns.command == "schur":
-        sp = schur_parameters(ns.data)
-        payload = {
-            "gamma": _gamma_json(sp.gamma),
-            "classification": sp.classification.value,
-        }
-        _write_out(_json_dumps(payload) + "\n", None)
-        return 0
-
-    if ns.command == "region":
-        domain = make_domain(ns.domain)
-        req = RegionRequest(
-            domain=domain,
-            data=ns.data,
-            j=ns.j,
-            z0=ns.z0,
-            samples=ns.samples,
-        )
-        res = region_compute(req)
-        if res.is_region and ns.format == "csv":
-            text = _emit_csv(res)
-        elif res.is_region and ns.format == "svg":
-            text = _emit_svg(res)
+        if "domain" in ns:
+            ns.domain = make_domain(ns.domain)
+        text = ns.handler(ns)
+        if not isinstance(text, str):
+            text = json.dumps(
+                text, ensure_ascii=False, allow_nan=False, separators=(", ", ": ")
+            ) + "\n"
+        if getattr(ns, "out", None) is None:
+            sys.stdout.write(text)
         else:
-            if not res.is_region and ns.format != "json":
-                print(
-                    f"note: {res.kind} result has no {ns.format} form; "
-                    "emitting json",
-                    file=sys.stderr,
-                )
-            text = _emit_json_result(res) + "\n"
-        _write_out(text, ns.out)
-        return 0
+            with open(ns.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except (ValueError, RuntimeError, ZeroDivisionError, OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ValueError) else 1
+    return 0
 
-    if ns.command == "extremal":
-        domain = make_domain(ns.domain)
-        coeffs = extremal_coefficients(domain, ns.gamma, ns.eps, ns.order)
-        payload = {"coefficients": [_c2j(c) for c in coeffs]}
-        _write_out(_json_dumps(payload) + "\n", None)
-        return 0
 
-    if ns.command == "compare-gronwall":
-        domain = make_domain(DomainSpec("halfplane", {}))
-        _, curve = gronwall_curve(ns.z0, ns.lam, ns.samples)
-        req = RegionRequest(
-            domain=domain,
-            data=(0j, complex(ns.lam)),
-            j=-1,
-            z0=ns.z0,
-            samples=ns.samples,
+def _schur(ns: argparse.Namespace) -> dict:
+    sp = schur_parameters(ns.data)
+    return {
+        "gamma": ["inf" if v is INF else _c2j(complex(v)) for v in sp.gamma],
+        "classification": sp.classification.value,
+    }
+
+
+def _region(ns: argparse.Namespace) -> dict | str:
+    req = RegionRequest(
+        domain=ns.domain,
+        data=ns.data,
+        j=ns.j,
+        z0=ns.z0,
+        samples=ns.samples,
+    )
+    res = region_compute(req)
+    if res.is_region and ns.format == "csv":
+        return _emit_csv(res)
+    if res.is_region and ns.format == "svg":
+        return _emit_svg(res)
+    if ns.format != "json":
+        print(
+            f"note: {res.kind} result has no {ns.format} form; "
+            "emitting json",
+            file=sys.stderr,
         )
-        res = region_compute(req)
-        if not res.is_region:
-            # gronwall_curve took lambda < 1, but within 1e-12 of 1 the data reads as boundary.
-            print(f"error: engine trace degenerated ({res.kind})", file=sys.stderr)
-            return 1
-        payload = {"hausdorff": hausdorff(curve, res.polygon)}
-        _write_out(_json_dumps(payload) + "\n", None)
-        return 0
+    return _region_json(res)
 
-    if ns.command == "membership":
-        domain = make_domain(ns.domain)
-        report = membership_trial(
-            domain, ns.gamma, ns.j, ns.z0, ns.trials, ns.seed
+
+def _extremal(ns: argparse.Namespace) -> dict:
+    coeffs = extremal_coefficients(ns.domain, ns.gamma, ns.eps, ns.order)
+    return {"coefficients": [_c2j(c) for c in coeffs]}
+
+
+def _compare_gronwall(ns: argparse.Namespace) -> dict:
+    _, curve = gronwall_curve(ns.z0, ns.lam, ns.samples)
+    res = cv_region(VariabilityQuery(ns.domain, ns.z0, FixedA2(ns.lam)), ns.samples)
+    if not res.is_region:
+        # gronwall_curve takes every lambda < 1; schur_parameters reads the
+        # band |lambda - 1| <= 1e-12 as unimodular.
+        raise ValueError(
+            f"lambda = {ns.lam!r} lies within 1e-12 of 1, where the data "
+            "(0, lambda) is boundary data and the trace is a single point"
         )
-        payload = {
-            "inside": report.inside,
-            "total": report.total,
-            # An empty run has no distance (-inf is not JSON).
-            "max_signed_distance": report.max_signed_distance if report.total else None,
-        }
-        _write_out(_json_dumps(payload) + "\n", None)
-        return 0
+    return {"hausdorff": hausdorff(curve, res.polygon)}
 
-    if ns.command == "h-check":
-        domain = make_domain(ns.domain)
-        rng = np.random.default_rng(ns.seed)
-        worst = 0.0
-        for _ in range(ns.trials):
-            radius = 0.2 + 0.6 * float(rng.uniform())
-            angle = 2 * math.pi * float(rng.uniform())
-            z0 = radius * cmath.exp(1j * angle)
-            er = math.sqrt(float(rng.uniform()))
-            ea = 2 * math.pi * float(rng.uniform())
-            eps = er * cmath.exp(1j * ea)
-            if eps == 0:
-                eps = 0.5 + 0j
-            gamma = (0j,) * ns.n
-            q = q_point(domain, gamma, ns.j, z0, eps)
-            lhs = (ns.j + 1) * q / z0 ** (ns.j + 1)
-            rhs = h_transform(domain, ns.j, ns.n, eps * z0**ns.n)
-            worst = max(worst, abs(lhs - rhs))
-        payload = {"max_deviation": worst}
-        _write_out(_json_dumps(payload) + "\n", None)
-        return 0
 
-    raise ValueError(f"unknown command {ns.command!r}")
+def _membership(ns: argparse.Namespace) -> dict:
+    report = membership_trial(
+        ns.domain, ns.gamma, ns.j, ns.z0, ns.trials, ns.seed
+    )
+    return {
+        "inside": report.inside,
+        "total": report.total,
+        # An empty run has no distance (-inf is not JSON).
+        "max_signed_distance": report.max_signed_distance if report.total else None,
+    }
+
+
+def _h_check(ns: argparse.Namespace) -> dict:
+    if ns.trials < 0:
+        raise ValueError("trials must be >= 0")
+    rng = np.random.default_rng(ns.seed)
+    worst = 0.0
+    for _ in range(ns.trials):
+        radius = 0.2 + 0.6 * float(rng.uniform())
+        angle = 2 * math.pi * float(rng.uniform())
+        z0 = radius * cmath.exp(1j * angle)
+        er = math.sqrt(float(rng.uniform()))
+        ea = 2 * math.pi * float(rng.uniform())
+        eps = er * cmath.exp(1j * ea)
+        if eps == 0:
+            eps = 0.5 + 0j
+        gamma = (0j,) * ns.n
+        q = q_point(ns.domain, gamma, ns.j, z0, eps)
+        lhs = (ns.j + 1) * q / z0 ** (ns.j + 1)
+        rhs = h_transform(ns.domain, ns.j, ns.n, eps * z0**ns.n)
+        worst = max(worst, abs(lhs - rhs))
+    # No trial, no deviation (as membership prints no distance).
+    return {"max_deviation": worst if ns.trials else None}
 
 
 def main() -> None:

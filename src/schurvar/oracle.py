@@ -40,7 +40,6 @@ __all__ = [
     "gronwall_curve_point",
     "gronwall_curve",
     "h_transform",
-    "AdmissibleSampler",
     "sample_admissible",
     "MembershipReport",
     "membership_trial",
@@ -125,31 +124,6 @@ def h_transform(
     return (j + 1) * integral / denom
 
 
-@dataclass(frozen=True)
-class AdmissibleSampler:
-    """Recipe for one random admissible function.
-
-    The free leaf of the tower is a random Blaschke product
-    e^{i phi} prod (z - a_m)/(1 - conj(a_m) z) of the given degree with
-    zeros drawn uniformly from |a| <= 0.9; phi uniform.  Degree 0 is
-    the unimodular constant, i.e. an extremal tower.  Deterministic in
-    (gamma, blaschke_degree, seed).
-    """
-
-    gamma: tuple[complex, ...]
-    blaschke_degree: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "gamma", tuple(complex(v) for v in self.gamma)
-        )
-        if not all(abs(v) < 1 for v in self.gamma):
-            raise ValueError("tower parameters must have modulus < 1")
-        if self.blaschke_degree < 0:
-            raise ValueError("blaschke_degree must be >= 0")
-
-
 def _leaf_draws(
     seed: int, trials: int, degrees: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,18 +165,27 @@ def _blaschke_leaf(
 
 
 def sample_admissible(
-    sampler: AdmissibleSampler, domain: DomainMap
+    domain: DomainMap, gamma: Sequence[complex], degree: int, seed: int
 ) -> Callable[[complex], complex]:
     """Draw the function g = P(tower with Blaschke leaf).
 
-    The returned closure is analytic on the open disk, maps into the
-    target region, and has the Caratheodory data of sampler.gamma; the
-    undetermined higher coefficients are randomized by the leaf.  It
-    takes a point or an array of points.
+    The free leaf of the tower is a random Blaschke product
+    e^{i phi} prod (z - a_m)/(1 - conj(a_m) z) of the given degree with
+    zeros drawn uniformly from |a| <= 0.9; phi uniform.  Degree 0 is
+    the unimodular constant, i.e. an extremal tower.  Deterministic in
+    (gamma, degree, seed).  The returned closure is analytic on the open
+    disk, maps into the target region, and has the Caratheodory data of
+    gamma; the undetermined higher coefficients are randomized by the
+    leaf.  It takes a point or an array of points.
     """
-    phase, zeros, used = _leaf_draws(sampler.seed, 1, (sampler.blaschke_degree,))
+    gamma = tuple(complex(v) for v in gamma)
+    if not all(abs(v) < 1 for v in gamma):
+        raise ValueError("tower parameters must have modulus < 1")
+    if degree < 0:
+        raise ValueError("blaschke_degree must be >= 0")
+    phase, zeros, used = _leaf_draws(seed, 1, (degree,))
     return lambda z: domain.eval(
-        _climb(sampler.gamma, z, _blaschke_leaf(phase[0], zeros[:, 0], used[:, 0], z))
+        _climb(gamma, z, _blaschke_leaf(phase[0], zeros[:, 0], used[:, 0], z))
     )
 
 

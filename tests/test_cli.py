@@ -228,13 +228,14 @@ def test_compare_gronwall_subcommand(capsys):
     assert json.loads(out)["hausdorff"] <= 1e-9
 
 
-def test_compare_gronwall_boundary_data_exits_one(capsys):
+def test_compare_gronwall_boundary_data_exits_two(capsys):
     # lambda < 1 passes gronwall_curve, but within 1e-12 of 1 the data
-    # (0, lambda) classifies as boundary and the trace is a single point.
+    # (0, lambda) classifies as boundary: a usage error, not a failure.
     code, out, err = capture(
         capsys, ["compare-gronwall", "--z0", "0.6", "--lambda", "0.9999999999999", "--samples", "16"]
     )
-    assert (code, out, err) == (1, "", "error: engine trace degenerated (single_point)\n")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lambda = 0.9999999999999 lies within 1e-12 of 1")
 
 
 def test_membership_subcommand(capsys):
@@ -267,6 +268,33 @@ def test_h_check_subcommand(capsys):
     )
     assert code == 0
     assert json.loads(out)["max_deviation"] <= 1e-10
+
+
+def test_h_check_without_trials_prints_null_deviation(capsys):
+    code, out, err = capture(
+        capsys, ["h-check", "--domain", "halfplane", "--j", "1", "--n", "2", "--trials", "0"]
+    )
+    assert (code, json.loads(out), err) == (0, {"max_deviation": None}, "")
+
+
+def test_h_check_negative_trials_exit_two(capsys):
+    code, out, err = capture(
+        capsys, ["h-check", "--domain", "halfplane", "--j", "1", "--n", "2", "--trials", "-3"]
+    )
+    assert (code, out, err) == (2, "", "error: trials must be >= 0\n")
+
+
+_SUBCOMMANDS = next(
+    a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_every_subcommand_has_a_handler(capsys, command):
+    assert callable(_SUBCOMMANDS[command].get_default("handler"))
+    code, out, err = capture(capsys, [command, "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: schurvar {command} ")
 
 
 def test_usage_errors_exit_two(capsys):

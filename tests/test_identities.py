@@ -12,6 +12,14 @@ mismatch; neither side needs a reference value.
   in the integral gives the factor.
 * Conjugation.  A map with real coefficients has P(conj w) = conj P(w),
   so Q over conj gamma at (conj z0, conj eps) equals conj Q.
+* Rotation of cv_region.  f -> e^{-i phi} f(e^{i phi} z) keeps CV(Omega)
+  and turns (a2, a3) into (e^{i phi} a2, e^{2 i phi} a3), so the region
+  for the turned constraint at z0 is the region for the constraint at
+  e^{i phi} z0.  With (n + 1) phi = 2 pi s / samples the two traces
+  agree point for point after a cyclic shift of s leaves.
+* Prefix nesting.  Each function with data (c0 ... cn) has data
+  (c0 ... c_{n-1}), so every point of the trace over the longer data
+  lies inside the polygon over the shorter.
 """
 
 import cmath
@@ -19,7 +27,22 @@ import cmath
 import numpy as np
 import pytest
 
-from schurvar import ConicSection, HalfPlane, Janowski, Sector, q_point
+from schurvar import (
+    BlaschkeTower,
+    ConicSection,
+    FixedA2,
+    FixedA2A3,
+    HalfPlane,
+    Janowski,
+    RegionRequest,
+    Sector,
+    VariabilityQuery,
+    cv_region,
+    polygon_signed_distance,
+    q_point,
+    region_compute,
+    tower_taylor,
+)
 
 MAPS = [
     HalfPlane(), HalfPlane(0.7), Sector(0.5), Janowski(2, -1), Janowski(1 + 0.5j, -0.7j),
@@ -67,3 +90,44 @@ def test_conjugation(seed, dom):
         a = q_point(dom, gamma, j, z0, eps)
         b = q_point(dom, tuple(g.conjugate() for g in gamma), j, z0.conjugate(), eps.conjugate())
         assert _rel(a, b.conjugate()) <= TOL, (gamma, j, z0, eps)
+
+
+def _disk(rng, r):
+    return r * np.sqrt(rng.uniform()) * cmath.exp(2j * np.pi * rng.uniform())
+
+
+SAMPLES = 64
+
+
+@pytest.mark.parametrize("seed, dom", enumerate(MAPS), ids=[d.spec_string() for d in MAPS])
+def test_cv_region_rotation(seed, dom):
+    # No constraint, a2, and a2 and a3 twice; (lam, mu) are bridged from
+    # |gamma1|, |gamma2| <= 0.6 so that every region is traced.
+    rng = np.random.default_rng(200 + seed)
+    a1, a2 = dom.alpha1, dom.alpha2
+    for n in (0, 1, 2, 2):
+        lam = _disk(rng, 0.6) * a1 / 2
+        mu = (_disk(rng, 0.6) * a1 * a1 * (abs(a1) ** 2 - 4 * abs(lam) ** 2) / (2 * a1.conjugate())
+              + 2 * (a1 * a1 + a2) * lam * lam) / (3 * a1 * a1)
+        z0 = rng.uniform(0.3, 0.95) * cmath.exp(2j * np.pi * rng.uniform())
+        s = int(rng.integers(1, SAMPLES // 2))  # s = samples / 2 cannot tell the shift's sign
+        u = cmath.exp(2j * np.pi * s / (SAMPLES * (n + 1)))
+        plain = [None, FixedA2(lam), FixedA2A3(lam, mu)][n]
+        turned = [None, FixedA2(u * lam), FixedA2A3(u * lam, u * u * mu)][n]
+        a = np.array(cv_region(VariabilityQuery(dom, z0, turned), SAMPLES).polygon.points)
+        b = np.array(cv_region(VariabilityQuery(dom, u * z0, plain), SAMPLES).polygon.points)
+        assert np.max(np.abs(a - np.roll(b, s))) <= TOL * max(1.0, np.max(np.abs(b))), (n, z0, s)
+
+
+@pytest.mark.parametrize("seed, dom", enumerate(MAPS), ids=[d.spec_string() for d in MAPS])
+def test_prefix_nesting(seed, dom):
+    # Data of length 2-4 from random towers, j -1 to 2, |z0| in [0.5, 0.95].
+    rng = np.random.default_rng(300 + seed)
+    for k in range(6):
+        n, j = k % 3 + 1, k % 4 - 1
+        gamma = tuple(_disk(rng, 0.6) for _ in range(n + 1))
+        data = tower_taylor(BlaschkeTower(gamma, 1), n).coeffs
+        z0 = rng.uniform(0.5, 0.95) * cmath.exp(2j * np.pi * rng.uniform())
+        inner = region_compute(RegionRequest(dom, data, j, z0, SAMPLES)).polygon.points
+        outer = region_compute(RegionRequest(dom, data[:-1], j, z0, SAMPLES)).polygon.points
+        assert np.all(polygon_signed_distance(outer, np.array(inner)) < 0), (gamma, j, z0)

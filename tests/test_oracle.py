@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from schurvar import (
-    AdmissibleSampler,
     ConicSection,
     HalfPlane,
     Janowski,
@@ -127,20 +126,16 @@ def test_h_transform_validation():
 
 
 def test_sampler_is_deterministic():
-    s = AdmissibleSampler(gamma=(0.2, -0.3 + 0.1j), blaschke_degree=2, seed=41)
-    f = sample_admissible(s, HP)
-    g = sample_admissible(s, HP)
+    f = sample_admissible(HP, (0.2, -0.3 + 0.1j), 2, 41)
+    g = sample_admissible(HP, (0.2, -0.3 + 0.1j), 2, 41)
     pts = [0.3, -0.2 + 0.4j, 0.55j]
     assert [f(z) for z in pts] == [g(z) for z in pts]
-    other = sample_admissible(
-        AdmissibleSampler(gamma=(0.2, -0.3 + 0.1j), blaschke_degree=2, seed=42), HP
-    )
+    other = sample_admissible(HP, (0.2, -0.3 + 0.1j), 2, 42)
     assert any(f(z) != other(z) for z in pts)
 
 
 def test_sampler_respects_target_range():
-    s = AdmissibleSampler(gamma=(0.1j,), blaschke_degree=3, seed=7)
-    f = sample_admissible(s, HP)
+    f = sample_admissible(HP, (0.1j,), 3, 7)
     rng = np.random.default_rng(8)
     for _ in range(100):
         z = 0.95 * rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(-np.pi, np.pi))
@@ -151,9 +146,7 @@ def test_sampler_prefix_is_forced():
     # Invert the half-plane map, expand by circle sampling, and check
     # that the sample's first parameters equal the requested prefix.
     gamma = (0.2, -0.3 + 0.1j)
-    f = sample_admissible(
-        AdmissibleSampler(gamma=gamma, blaschke_degree=2, seed=13), HP
-    )
+    f = sample_admissible(HP, gamma, 2, 13)
     r, m = 0.3, 512
     vals = [f(r * cmath.exp(2j * math.pi * i / m)) for i in range(m)]
     w = [(v - 1) / (v + 1) for v in vals]
@@ -165,12 +158,12 @@ def test_sampler_prefix_is_forced():
 
 
 def test_sampler_validation():
-    with pytest.raises(ValueError):
-        AdmissibleSampler(gamma=(1.2,), blaschke_degree=1, seed=0)
-    with pytest.raises(ValueError):
-        AdmissibleSampler(gamma=(0.5,), blaschke_degree=-1, seed=0)
-    with pytest.raises(ValueError):
-        AdmissibleSampler(gamma=(complex("nan"),), blaschke_degree=1, seed=0)
+    with pytest.raises(ValueError, match="modulus < 1"):
+        sample_admissible(HP, (1.2,), 1, 0)
+    with pytest.raises(ValueError, match="blaschke_degree must be >= 0"):
+        sample_admissible(HP, (0.5,), -1, 0)
+    with pytest.raises(ValueError, match="modulus < 1"):
+        sample_admissible(HP, (complex("nan"),), 1, 0)
 
 
 def test_membership_trial_all_inside():
