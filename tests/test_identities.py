@@ -52,6 +52,11 @@ MAPS = [
 TOL = 1e-13
 
 
+def _disk(rng, r):
+    """A point drawn uniformly from |w| <= r."""
+    return r * np.sqrt(rng.uniform()) * cmath.exp(2j * np.pi * rng.uniform())
+
+
 def _cases(seed):
     """Eight seeded (gamma, j, z0, eps, phi): n 0-3 and j -1 to 2 in turn,
     |gamma_k| <= 0.6, |z0| in [0.3, 0.99] with the last at 0.99, and
@@ -59,8 +64,7 @@ def _cases(seed):
     rng = np.random.default_rng(seed)
     for k in range(8):
         n, j = k % 4, k // 2 % 4 - 1
-        gamma = tuple(0.6 * np.sqrt(rng.uniform()) * cmath.exp(2j * np.pi * rng.uniform())
-                      for _ in range(n + 1))
+        gamma = tuple(_disk(rng, 0.6) for _ in range(n + 1))
         r = 0.99 if k == 7 else rng.uniform(0.3, 0.99)
         z0 = r * cmath.exp(2j * np.pi * rng.uniform())
         eps = (1 if k % 2 else rng.uniform()) * cmath.exp(2j * np.pi * rng.uniform())
@@ -90,10 +94,6 @@ def test_conjugation(seed, dom):
         a = q_point(dom, gamma, j, z0, eps)
         b = q_point(dom, tuple(g.conjugate() for g in gamma), j, z0.conjugate(), eps.conjugate())
         assert _rel(a, b.conjugate()) <= TOL, (gamma, j, z0, eps)
-
-
-def _disk(rng, r):
-    return r * np.sqrt(rng.uniform()) * cmath.exp(2j * np.pi * rng.uniform())
 
 
 SAMPLES = 64
