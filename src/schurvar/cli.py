@@ -34,7 +34,7 @@ from .regions import (
     q_point,
     region_compute,
 )
-from .schur import INF, schur_parameters
+from .schur import _TOL_UNIT, INF, schur_parameters
 from .variability import FixedA2, VariabilityQuery, cv_region, extremal_coefficients
 
 __all__ = ["parse_complex", "parse_domain", "run", "main"]
@@ -305,10 +305,10 @@ def _compare_gronwall(ns: argparse.Namespace) -> dict:
     res = cv_region(VariabilityQuery(ns.domain, ns.z0, FixedA2(ns.lam)), ns.samples)
     if not res.is_region:
         # gronwall_curve takes every lambda < 1; schur_parameters reads the
-        # band |lambda - 1| <= 1e-12 as unimodular.
+        # band |lambda - 1| <= _TOL_UNIT as unimodular.
         raise ValueError(
-            f"lambda = {ns.lam!r} lies within 1e-12 of 1, where the data "
-            "(0, lambda) is boundary data and the trace is a single point"
+            f"lambda = {ns.lam!r} lies within {_TOL_UNIT:g} of 1, where the "
+            "data (0, lambda) is boundary data and the trace is a single point"
         )
     return {"hausdorff": hausdorff(curve, res.polygon)}
 
@@ -326,8 +326,15 @@ def _membership(ns: argparse.Namespace) -> dict:
 
 
 def _h_check(ns: argparse.Namespace) -> dict:
+    # Checked before the loop, so that no trial count hides them.
     if ns.trials < 0:
         raise ValueError("trials must be >= 0")
+    if ns.j < 0:
+        raise ValueError("transform weight must satisfy j >= 0")
+    if ns.n < 1:
+        raise ValueError("power must satisfy n >= 1")
+    if ns.seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(ns.seed)
     worst = 0.0
     for _ in range(ns.trials):

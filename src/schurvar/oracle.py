@@ -136,8 +136,11 @@ def _leaf_draws(
     |a| <= 0.9 by sqrt-radius sampling).  Row t depends only on (seed,
     t, max(degrees)), so a shorter run draws a prefix of a longer one.
     Zeros and used flags have one row per factor, shape (max(degrees),
-    trials), as _blaschke_leaf takes them.
+    trials), as _blaschke_leaf takes them.  A negative seed raises
+    ValueError.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     u = np.random.default_rng(seed).random((trials, 2 + 2 * max(degrees)))
     picks = np.asarray(degrees)[(u[:, 0] * len(degrees)).astype(int)]
     phase = np.exp(2j * np.pi * u[:, 1])

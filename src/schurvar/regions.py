@@ -39,7 +39,8 @@ from .domains import DomainMap
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, _gauss_segment
 # integrate_segment and tower_eval stay importable here (bench/tracing.py patches them).
 from .quadrature import integrate_segment  # noqa: F401
-from .schur import Classification, _climb, _climb_bound, schur_parameters, tower_eval  # noqa: F401
+from .schur import _TOL_UNIT, Classification, _climb, _climb_bound, schur_parameters
+from .schur import tower_eval  # noqa: F401
 
 __all__ = [
     "RegionRequest",
@@ -96,8 +97,10 @@ def _q(
     checked before the plan.  A tower bound that rounds onto the rim at
     |z0| raises QuadratureError before anything is evaluated, naming z0
     (the endpoint of largest modulus of an array), j and the domain.
-    Any other quadrature failure names z0 (the failing endpoints of an
-    array), j, the domain and, via ``names``, the columns.  ``leaf`` must
+    Below 1 the bound may still leave a climbed value that rounds onto
+    the rim; that, and any other quadrature failure, raises
+    QuadratureError naming z0 (the failing endpoints of an array), j,
+    the domain and, via ``names``, the columns.  ``leaf`` must
     not write what it reads: a trace's leaves are the shared, read-only
     eps of _grid.
     """
@@ -137,8 +140,15 @@ def _q(
         return top / s if j == -1 else top * s**j
 
     def f(zeta: np.ndarray) -> np.ndarray:
+        w = _climb(gamma, zeta, leaf(zeta))
+        try:
+            p = domain.eval(w)
+        except ValueError as exc:  # the map's guard: a climbed value rounded onto the rim
+            rim = tuple(np.flatnonzero(~np.all(np.abs(w) < 1, axis=0)).tolist())
+            msg = f"a tower value rounds onto the rim at |zeta| <= {r}"
+            raise QuadratureError(msg, complex("nan"), math.inf, rim) from exc
         # zeta^j first: numpy's complex multiply is not bit-symmetric.
-        return zeta**j * (domain.eval(_climb(gamma, zeta, leaf(zeta))) - base)
+        return zeta**j * (p - base)
 
     try:
         return _gauss_segment(f, z0, sup, (cfg or DEFAULT_CONFIG).abs_tol)[0]
@@ -162,7 +172,7 @@ def _q_eps(
 ) -> np.ndarray:
     """_q over the extremal leaves eps * zeta, one column per entry of eps."""
     eps = np.asarray(eps, dtype=complex)
-    if not np.abs(eps).max(initial=0) <= 1 + 1e-12:
+    if not np.abs(eps).max(initial=0) <= 1 + _TOL_UNIT:
         raise ValueError("leaf parameter must satisfy |eps| <= 1")
     return _q(
         domain, gamma, j, z0, lambda zeta: eps * zeta, cfg,
@@ -315,7 +325,8 @@ def region_compute(req: RegionRequest) -> RegionResult:
     grid; boundary data the single attainable value; exterior data the
     empty region.  A trace with two consecutive equal points cannot
     happen for valid interior data (the leaf map is injective), so it
-    is reported as an error rather than silently returned.  The grid
+    is reported as a RuntimeError naming the theta of the first point
+    that repeats its predecessor, z0, j and the domain.  The grid
     (theta and its leaves eps) comes from _grid: built once per sample
     count and shared by every trace, with eps read-only.
     """
@@ -328,8 +339,13 @@ def region_compute(req: RegionRequest) -> RegionResult:
         return RegionResult.single_point(w0, sp)
     thetas, eps = _grid(req.samples)
     pts = _q_eps(req.domain, sp.gamma, req.j, req.z0, eps, req.quad)
-    if np.any(pts == _next(pts)):
-        raise RuntimeError("trace degenerate")
+    repeats = np.flatnonzero(pts == _next(pts))
+    if len(repeats):
+        theta = thetas[(repeats[0] + 1) % len(thetas)]
+        raise RuntimeError(
+            f"trace degenerate: the point at theta = {theta} repeats its predecessor; "
+            f"z0 = {req.z0}, j = {req.j}, domain {req.domain.spec_string()}"
+        )
     poly = RegionPolygon(
         points=pts,
         thetas=thetas,

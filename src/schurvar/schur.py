@@ -18,9 +18,9 @@ as a quotient num/den of truncated series, starting from (c, 1):
 both cut to the coefficients the data still determines.  A level costs
 O(n) and divides only once.  While |gamma_j| < 1 the recursion
 continues; |gamma_j| > 1 stops it (exterior); |gamma_j| = 1, within an
-absolute band of 1e-12 that the a2/a3 bridge in ``variability`` shares,
-freezes the remaining parameters to 0 or INF according to whether the
-remaining Taylor coefficients of omega_j vanish.
+absolute band of 1e-12, freezes each remaining parameter to 0 or INF
+as the matching Taylor coefficient of omega_j lies within that band of
+0 or not.  This is the only band test: the a2/a3 bridge uses it too.
 
 For interior parameters the extremal self-maps form a one-parameter
 family of nested Moebius towers
@@ -58,8 +58,9 @@ __all__ = [
     "tower_taylor",
 ]
 
-# Half-width of the band around |gamma| = 1 read as exactly unimodular;
-# the a2/a3 bridge in variability tests |gamma1| against the same band.
+# Half-width of the bands around |gamma| = 1 and, past a unimodular
+# parameter, around a vanishing coefficient.  Only schur_parameters
+# compares against it.
 _TOL_UNIT = 1e-12
 
 
@@ -117,15 +118,15 @@ def schur_parameters(data: Sequence[complex]) -> SchurParameters:
     -------
     SchurParameters
         Interior: all n+1 parameters with modulus < 1.
-        Boundary: a unimodular parameter followed by exact zeros.
+        Boundary: a unimodular parameter followed by zeros.
         Exterior: either a parameter with modulus > 1 (recursion stops
         there, trailing data is irrelevant) or a unimodular parameter
         followed by a tail containing INF.
 
     Each level updates the pair (num, den) of omega_j = num/den in
     O(n); only a unimodular stop divides out the remaining coefficients
-    of omega_j, by forward substitution.  Data exact in binary stay
-    exact through the levels, so their boundary tails are exactly zero.
+    of omega_j - gamma_j (forward substitution), each freezing its
+    parameter to 0j within _TOL_UNIT of 0 and to INF beyond.
     A non-finite datum raises ValueError naming its index.
     """
     if len(data) == 0:
@@ -147,13 +148,9 @@ def schur_parameters(data: Sequence[complex]) -> SchurParameters:
             for a, b in zip(num[1:], den[1:]):
                 shifted = sum(d * t for d, t in zip(den[1:], reversed(tail)))
                 tail.append((a - g * b - shifted) / den[0])
-            cls = (
-                Classification.BOUNDARY
-                if all(v == 0 for v in tail)
-                else Classification.EXTERIOR
-            )
             index = len(gamma) - 1
-            gamma.extend(INF if v != 0 else 0j for v in tail)
+            gamma.extend(0j if abs(v) <= _TOL_UNIT else INF for v in tail)
+            cls = Classification.EXTERIOR if INF in gamma else Classification.BOUNDARY
             return SchurParameters(tuple(gamma), cls, boundary_index=index)
         if len(num) == 1:
             return SchurParameters(tuple(gamma), Classification.INTERIOR)
@@ -250,7 +247,7 @@ class BlaschkeTower:
         if not all(abs(v) < 1 for v in g):
             raise ValueError("tower parameters must have modulus < 1")
         e = complex(self.epsilon)
-        if not abs(e) <= 1 + 1e-12:
+        if not abs(e) <= 1 + _TOL_UNIT:
             raise ValueError("leaf parameter must satisfy |eps| <= 1")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "epsilon", e)

@@ -4,17 +4,17 @@ For the normalized convex-type class attached to a domain map P
 (functions f with f(0) = 0, f'(0) = 1 and 1 + z f''/f' subordinate to
 P), the functional log f'(z0) has an exactly computable variability
 region once a2 = f''(0)/2, or both a2 and a3 = f'''(0)/6, are pinned.
-The constraints convert to Schur parameters of the underlying self-map
-data through the bridge
+The constraints fix the leading Caratheodory data of the self-map
+omega = P^{-1}(1 + z f''/f'): comparing 1 + z f''/f' = 1 + 2 lambda z
++ (6 mu - 4 lambda^2) z^2 + ... with P(omega) = 1 + alpha1 omega
++ alpha2 omega^2 + ... gives the bridge
 
-    gamma1 = 2 lambda / alpha1,
-    gamma2 = 2 conj(alpha1) (3 alpha1^2 mu - 2 (alpha1^2 + alpha2) lambda^2)
-             / ( alpha1^2 ( |alpha1|^2 - 4 |lambda|^2 ) ),
+    c1 = 2 lambda / alpha1,
+    c2 = (6 mu - 4 lambda^2 - alpha2 c1^2) / alpha1,
 
-with the degenerate |gamma1| = 1 case collapsing gamma2 to 0 (single
-point) or INF (empty).  The corresponding Caratheodory data is
-(0, gamma1) or (0, gamma1, gamma2 (1 - |gamma1|^2)), and the region
-engine does the rest.  The same regions describe log(f(z0)/z0) over the
+and the data (0, c1) or (0, c1, c2) goes to the region engine, whose
+Schur recursion decides the degenerate |gamma1| = 1 case (single point
+or empty) like any other.  The same regions describe log(f(z0)/z0) over the
 associated starlike-type class, since h is starlike precisely when the
 integral transform back to f is convex of the same data.
 
@@ -40,7 +40,7 @@ from .regions import (  # noqa: F401
     region_compute,
 )
 # bench/tracing.py patches tower_taylor and series_compose by name here.
-from .schur import _TOL_UNIT, INF, BlaschkeTower, tower_taylor
+from .schur import BlaschkeTower, schur_parameters, tower_taylor
 from .series import ComplexSeries, series_compose, series_exp
 
 __all__ = [
@@ -103,27 +103,31 @@ def gamma_from_a2a3(
 ) -> GammaPair:
     """Bridge (a2, a3) = (lam, mu) to Schur parameters (gamma1, gamma2).
 
-    On the circle |gamma1| = 1 (within the band schur_parameters reads
-    as unimodular, 1e-12) the pair degenerates:
-    gamma2 is 0 when 3 alpha1^2 mu equals 2 (alpha1^2 + alpha2) lam^2
-    (single attainable function) and INF otherwise (no function at
-    all).  The equality is tested to relative accuracy 1e-12 since both
-    sides are float-valued.
+    Both come from schur_parameters on the data (0, c1, c2) that
+    cv_region traces, so on the circle |gamma1| = 1 gamma2 is 0 (single
+    attainable function) or INF (no function at all) exactly when the
+    region is a single point or empty.  Past an exterior gamma1 the
+    recursion stops, and gamma2 keeps the interior formula
+    c2 / (1 - |gamma1|^2).
     """
-    lam = complex(lam)
-    mu = complex(mu)
-    a1 = domain.alpha1
-    a2 = domain.alpha2
-    g1 = 2 * lam / a1
-    lhs = 3 * a1 * a1 * mu
-    rhs = 2 * (a1 * a1 + a2) * lam * lam
-    if abs(abs(g1) - 1) <= _TOL_UNIT:
-        scale = max(1.0, abs(lhs), abs(rhs))
-        g2: object = 0j if abs(lhs - rhs) <= _TOL_UNIT * scale else INF
-        return GammaPair(g1, g2)
-    denom = a1 * a1 * (abs(a1) ** 2 - 4 * abs(lam) ** 2)
-    g2 = 2 * a1.conjugate() * (lhs - rhs) / denom
-    return GammaPair(g1, g2)
+    data = _bridge_data(FixedA2A3(lam, mu), domain)
+    gamma = schur_parameters(data).gamma
+    g2 = gamma[2] if len(gamma) > 2 else data[2] / (1 - abs(gamma[1]) ** 2)
+    return GammaPair(gamma[1], g2)
+
+
+def _bridge_data(c: FixedA2 | FixedA2A3 | None, domain: DomainMap) -> tuple[complex, ...]:
+    """Caratheodory data (0,), (0, c1) or (0, c1, c2) of omega under c."""
+    if c is None:
+        return (0j,)
+    if not isinstance(c, (FixedA2, FixedA2A3)):
+        raise TypeError("unsupported constraint")
+    c1 = gamma_from_a2(c.lam, domain)
+    if isinstance(c, FixedA2):
+        return (0j, c1)
+    lam = complex(c.lam)
+    c2 = (6 * complex(c.mu) - 4 * lam * lam - domain.alpha2 * c1 * c1) / domain.alpha1
+    return (0j, c1, c2)
 
 
 def cv_region(
@@ -136,28 +140,13 @@ def cv_region(
     Every query goes through the region engine with weight -1.  An
     unconstrained query is the data (0,): its boundary K(eps z0) over
     unimodular eps is the primitive K on the circle |z| = |z0|.
-    Coefficient constraints go through the parameter bridge, and the
-    engine also produces the degenerate single-point and empty
-    variants.
+    Coefficient constraints go through the bridge to the data
+    (0, c1[, c2]), and the engine also produces the degenerate
+    single-point and empty variants.  RegionRequest checks z0.
     """
-    z0 = complex(query.z0)
-    if not 0 < abs(z0) < 1:
-        raise ValueError("z0 must satisfy 0 < |z0| < 1")
-    c = query.constraint
-    if c is None:
-        data: tuple[complex, ...] = (0j,)
-    elif isinstance(c, FixedA2):
-        data = (0j, gamma_from_a2(c.lam, query.domain))
-    elif isinstance(c, FixedA2A3):
-        pair = gamma_from_a2a3(c.lam, c.mu, query.domain)
-        if pair.gamma2 is INF:
-            return RegionResult.empty()
-        g1 = pair.gamma1
-        data = (0j, g1, pair.gamma2 * (1 - abs(g1) ** 2))
-    else:
-        raise TypeError("unsupported constraint")
     req = RegionRequest(
-        domain=query.domain, data=data, j=-1, z0=z0, samples=samples, quad=cfg
+        domain=query.domain, data=_bridge_data(query.constraint, query.domain), j=-1,
+        z0=query.z0, samples=samples, quad=cfg,
     )
     return region_compute(req)
 

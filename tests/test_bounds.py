@@ -19,7 +19,7 @@ import pytest
 
 from schurvar import (
     ConicSection, HalfPlane, Janowski, QuadratureConfig, QuadratureError, RegionRequest, Sector,
-    q_point, region_compute,
+    membership_trial, q_point, region_compute,
 )
 from schurvar import quadrature, regions
 from schurvar.schur import _climb, _climb_bound
@@ -206,6 +206,22 @@ def test_tower_bound_rounded_onto_the_rim_raises_before_any_evaluation(monkeypat
     with pytest.raises(QuadratureError, match=r"rounds onto the rim") as info:
         q_point(dom, (1 - 2**-53,), 0, 0.99, 1)
     assert str(info.value).endswith(f"z0 = (0.99+0j), j = 0, domain {dom.spec_string()}")
+
+
+# The tower bound reads 0.9999999999999999 at this |z0|, yet one climbed
+# value of the trace and of the membership leaves rounds onto the rim.
+RIM_GAMMA = (0.9052495005428142 + 0.42487872540170857j,)
+RIM_Z0 = -0.9403465207915329 + 0.3402181956343996j
+
+
+def test_climbed_value_on_the_rim_is_a_quadrature_error():
+    tail = f"z0 = {RIM_Z0}, j = 0, domain halfplane:alpha=0"
+    with pytest.raises(QuadratureError, match=r"a tower value rounds onto the rim") as info:
+        region_compute(RegionRequest(HalfPlane(), RIM_GAMMA, 0, RIM_Z0, samples=8))
+    assert str(info.value).endswith(tail)
+    with pytest.raises(QuadratureError, match=r"a tower value rounds onto the rim") as info:
+        membership_trial(HalfPlane(), RIM_GAMMA, 0, RIM_Z0, trials=3, seed=1)
+    assert str(info.value).endswith(tail)
 
 
 # Nodes per boundary point, panel by panel, for data (0, 0.3) and j = -1

@@ -284,6 +284,49 @@ def test_h_check_negative_trials_exit_two(capsys):
     assert (code, out, err) == (2, "", "error: trials must be >= 0\n")
 
 
+_HC = ["h-check", "--domain", "halfplane"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_HC + ["--j", "1", "--n", "0", "--trials", "0"], "power must satisfy n >= 1"),
+    (_HC + ["--j", "1", "--n", "0", "--trials", "2"], "power must satisfy n >= 1"),
+    (_HC + ["--j", "-1", "--n", "2", "--trials", "0"], "transform weight must satisfy j >= 0"),
+    (_HC + ["--j", "1", "--n", "2", "--trials", "2", "--seed", "-1"], "seed must be >= 0"),
+    (["membership", "--domain", "halfplane", "--gamma", "0,0.3", "--j", "-1", "--z0", "0.5",
+      "--trials", "2", "--seed", "-1"], "seed must be >= 0"),
+], ids=["n0-no-trials", "n0", "j-1", "h-check-seed", "membership-seed"])
+def test_invalid_counts_and_seeds_exit_two_before_any_trial(capsys, argv, message):
+    assert capture(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_climbed_value_on_the_rim_exits_one(capsys):
+    # The kernel fails near the rim: a computational failure, not a usage error.
+    z0 = "-0.9403465207915329+0.3402181956343996i"
+    for argv in (
+        ["region", "--domain", "halfplane", "--data", "0.9052495005428142+0.42487872540170857i",
+         "--j", "0", f"--z0={z0}", "--samples", "8"],
+        ["membership", "--domain", "halfplane", "--gamma", "0.9052495005428142+0.42487872540170857i",
+         "--j", "0", f"--z0={z0}", "--trials", "3", "--seed", "1"],
+    ):
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a tower value rounds onto the rim")
+        assert err.endswith(", j = 0, domain halfplane:alpha=0\n")
+
+
+def test_degenerate_trace_names_its_case(capsys):
+    code, out, err = capture(
+        capsys,
+        ["region", "--domain", "halfplane", "--data", "0.5", "--j", "100000", "--z0", "0.5",
+         "--samples", "8"],
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: trace degenerate: the point at theta = -2.356194490192345 repeats its "
+        "predecessor; z0 = (0.5+0j), j = 100000, domain halfplane:alpha=0\n"
+    )
+
+
 _SUBCOMMANDS = next(
     a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
 ).choices

@@ -20,6 +20,11 @@ mismatch; neither side needs a reference value.
 * Prefix nesting.  Each function with data (c0 ... cn) has data
   (c0 ... c_{n-1}), so every point of the trace over the longer data
   lies inside the polygon over the shorter.
+* Growth in |z0|.  For data (0,) and j = -1 the region is K of the
+  closed disk of radius |z0|, and K is convex and univalent (zK' = P - 1
+  is starlike, by Alexander's theorem).  So the trace at a smaller
+  radius lies inside the polygon at a larger one, and the trace at the
+  larger radius lies outside the polygon at the smaller.
 """
 
 import cmath
@@ -131,3 +136,20 @@ def test_prefix_nesting(seed, dom):
         inner = region_compute(RegionRequest(dom, data, j, z0, SAMPLES)).polygon.points
         outer = region_compute(RegionRequest(dom, data[:-1], j, z0, SAMPLES)).polygon.points
         assert np.all(polygon_signed_distance(outer, np.array(inner)) < 0), (gamma, j, z0)
+
+
+@pytest.mark.parametrize("seed, dom", enumerate(MAPS), ids=[d.spec_string() for d in MAPS])
+def test_growth_in_endpoint_modulus(seed, dom):
+    # r2 in [0.3, 0.99] with the last at 0.99, r1 <= 0.9 r2, and each
+    # endpoint at its own argument: the region depends on |z0| alone.
+    rng = np.random.default_rng(400 + seed)
+    for k in range(3):
+        r2 = 0.99 if k == 2 else rng.uniform(0.3, 0.99)
+        r1 = rng.uniform(0.1, 0.9) * r2
+        inner, outer = (
+            region_compute(RegionRequest(dom, (0j,), -1, r * cmath.exp(2j * np.pi * rng.uniform()), SAMPLES))
+            .polygon.points
+            for r in (r1, r2)
+        )
+        assert np.all(polygon_signed_distance(outer, np.array(inner)) < 0), (r1, r2)
+        assert np.all(polygon_signed_distance(inner, np.array(outer)) > 0), (r1, r2)

@@ -164,6 +164,8 @@ def test_sampler_validation():
         sample_admissible(HP, (0.5,), -1, 0)
     with pytest.raises(ValueError, match="modulus < 1"):
         sample_admissible(HP, (complex("nan"),), 1, 0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        sample_admissible(HP, (0.5,), 1, -1)
 
 
 def test_membership_trial_all_inside():
@@ -230,6 +232,8 @@ def test_membership_rejects_bad_input_before_integrating():
         membership_trial(HP, (0j,), 0, 0.5, trials=2, seed=0, degrees=())
     with pytest.raises(ValueError, match="trials"):
         membership_trial(HP, (0j,), 0, 0.5, trials=-3, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        membership_trial(HP, (0j,), 0, 0.5, trials=2, seed=-1)
     with pytest.raises(ValueError):
         membership_trial(HP, (0j,), -2, 0.5, trials=2, seed=0)
     for z0 in (0, 1.0, 0.6 + 0.8j):

@@ -85,6 +85,22 @@ def test_unimodular_band_is_absolute_1e_12():
     assert schur_parameters((1 - 5e-12, 0)).classification is Classification.INTERIOR
 
 
+def test_rounded_blaschke_data_are_boundary():
+    # The data of s_a(u z), |a| <= 0.85 and u unimodular, rounded to
+    # floats: the recursion stops at gamma_1 = u, and every remaining
+    # coefficient of omega_1 - u is rounding noise inside the band of 0.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        a = 0.85 * np.sqrt(rng.uniform()) * cmath.exp(2j * np.pi * rng.uniform())
+        u = cmath.exp(2j * np.pi * rng.uniform())
+        n = int(rng.integers(2, 8))
+        data = (a,) + tuple((1 - abs(a) ** 2) * u**k * (-a.conjugate()) ** (k - 1) for k in range(1, n + 1))
+        sp = schur_parameters(data)
+        assert (sp.classification, sp.boundary_index) == (Classification.BOUNDARY, 1), data
+        assert sp.gamma[2:] == (0j,) * (n - 1), data
+        assert toeplitz_membership(data) is Classification.BOUNDARY, data
+
+
 def test_modulus_above_one_stops_immediately():
     sp = schur_parameters((1.5,))
     assert sp.classification is Classification.EXTERIOR
