@@ -349,7 +349,9 @@ def _h_check(ns: argparse.Namespace) -> dict:
         gamma = (0j,) * ns.n
         q = q_point(ns.domain, gamma, ns.j, z0, eps)
         lhs = (ns.j + 1) * q / z0 ** (ns.j + 1)
-        rhs = h_transform(ns.domain, ns.j, ns.n, eps * z0**ns.n)
+        arg = eps * z0**ns.n
+        # H(z) = O(z), so an argument that underflows to 0 has H = 0.
+        rhs = h_transform(ns.domain, ns.j, ns.n, arg) if arg else 0j
         worst = max(worst, abs(lhs - rhs))
     # No trial, no deviation (as membership prints no distance).
     return {"max_deviation": worst if ns.trials else None}

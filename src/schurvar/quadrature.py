@@ -302,12 +302,12 @@ def _gauss_segment(
     whose bound is at most tol (b - a); a panel that misses it at N = 30
     is halved, up to _MAX_PANELS panels.  An array z_end is planned for
     its largest modulus, whose bound covers every column.  The integrand
-    is then called once per panel on its N Gauss nodes, shape (N, 1), or
-    (N, m) with column c at t z_end[c], and returns one column per
-    integral.  The integrand runs, with the sums, under one np.errstate
-    that silences overflow and invalid values: a non-finite column is
-    raised, not warned about.  The bound returned is the sum of the panel
-    bounds.
+    is then called once per panel on its N Gauss nodes, shape (N, 1) for
+    a point or 0-d z_end, or (N, m) for a 1-d z_end with column c at
+    t z_end[c], and returns one column per integral.  The integrand
+    runs, with the sums, under one np.errstate that silences overflow
+    and invalid values: a non-finite column is raised, not warned about.
+    The bound returned is the sum of the panel bounds.
 
     Raises
     ------
@@ -316,7 +316,7 @@ def _gauss_segment(
         or if the capped plan still misses tol (every column is named,
         with its estimate and the bound reached).
     """
-    r = float(np.abs(z_end).max()) if isinstance(z_end, np.ndarray) else float(np.abs(z_end))
+    r = float(np.abs(z_end).max())
     cuts = [0.0, 1.0]
     while True:
         panels = [_panel(a, b, r, sup, tol) for a, b in zip(cuts, cuts[1:])]

@@ -39,7 +39,7 @@ from .domains import DomainMap
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, _gauss_segment
 # integrate_segment and tower_eval stay importable here (bench/tracing.py patches them).
 from .quadrature import integrate_segment  # noqa: F401
-from .schur import _TOL_UNIT, Classification, _climb, _climb_bound, schur_parameters
+from .schur import _TOL_UNIT, Classification, _climb, schur_parameters
 from .schur import tower_eval  # noqa: F401
 
 __all__ = [
@@ -84,56 +84,50 @@ def _q(
 ) -> np.ndarray:
     """Q_{gamma,j}(z0, .) for the towers over the leaf self-maps ``leaf``.
 
-    The one integral kernel.  ``leaf(zeta)`` maps the panel nodes zeta,
-    shape (N, 1) for one endpoint z0 or (N, m) for an array z0 of one
-    endpoint per tower, to one column of leaf values per tower, each of
-    modulus at most |zeta| (eps zeta for a trace and for the extremal
-    function, zeta B(zeta) for membership); every panel climbs all
-    towers in one array pass.  The panels are planned first: on
-    |zeta| <= s every tower is at most _climb_bound(gamma, s) in modulus
-    (Schwarz-Pick), so sup(s) below bounds the integrand (for j = -1 by
-    the maximum principle, as P(omega) - P(gamma_0) vanishes at 0).  The
-    plan meets abs_tol, and so max(abs_tol, rel_tol |Q|).  Inputs are
-    checked before the plan.  A tower bound that rounds onto the rim at
-    |z0| raises QuadratureError before anything is evaluated, naming z0
-    (the endpoint of largest modulus of an array), j and the domain.
-    Below 1 the bound may still leave a climbed value that rounds onto
-    the rim; that, and any other quadrature failure, raises
-    QuadratureError naming z0 (the failing endpoints of an array), j,
-    the domain and, via ``names``, the columns.  ``leaf`` must
-    not write what it reads: a trace's leaves are the shared, read-only
-    eps of _grid.
+    The one integral kernel.  z0 is one endpoint (a point or 0-d array)
+    or one endpoint per tower (1-d, extremal_f_eval's nodes).
+    ``leaf(zeta)`` maps the panel nodes zeta, shape (N, 1) or (N, m) to
+    match, to one column of leaf values per tower, each of modulus at
+    most |zeta| (eps zeta for a trace and for the extremal function,
+    zeta B(zeta) for membership); every panel climbs all towers in one
+    array pass.  The panels are planned first: on |zeta| <= s every
+    tower is at most _climb(moduli, s, s) in modulus (Schwarz-Pick), so
+    sup(s) below bounds the integrand (for j = -1 by the maximum
+    principle, as P(omega) - P(gamma_0) vanishes at 0).  The plan meets
+    abs_tol, and so max(abs_tol, rel_tol |Q|).  Inputs are checked
+    before the plan.  A tower bound that rounds onto the rim at max |z0|
+    raises QuadratureError before anything is evaluated, naming the
+    endpoint of largest modulus, j and the domain.  Below 1 the bound
+    may still leave a climbed value that rounds onto the rim; that, and
+    any other quadrature failure, raises QuadratureError naming z0 (the
+    failing endpoints of a 1-d z0), j, the domain and, via ``names``,
+    the columns.  ``leaf`` must not write what it reads: a trace's
+    leaves are the shared, read-only eps of _grid.
     """
     if j < -1:
         raise ValueError("weight exponent must satisfy j >= -1")
-    scalar = np.ndim(z0) == 0
-    if scalar:
-        # numpy's modulus, which the plan reads; Python's abs differs in the last bit.
-        z0 = complex(z0)
-        r = float(np.abs(z0))
-        ok = 0 < r < 1
-    else:
-        z0 = np.asarray(z0, dtype=complex)
-        mod = np.abs(z0)
-        r = float(mod.max())
-        ok = 0 < mod.min() and r < 1
-    if not ok:
+    z0 = np.asarray(z0, dtype=complex)
+    mod = np.abs(z0)
+    r = float(mod.max())
+    if not (0 < mod.min() and r < 1):
         raise ValueError("z0 must satisfy 0 < |z0| < 1")
     gamma = tuple(complex(v) for v in gamma)
     if not gamma or not all(abs(v) < 1 for v in gamma):
         raise ValueError("tower parameters must be given, each of modulus < 1")
-    if not _climb_bound(gamma, r) < 1:
+    # |s_a(w)| <= s_|a|(|w|), which grows with |w|: the climb of the moduli
+    # from the leaf bound s bounds every tower on |zeta| <= s.
+    moduli = tuple(abs(a) for a in gamma)
+    if not _climb(moduli, r, r) < 1:
         # Every plan's last panel reaches past |z0|, where sup is infinite.
-        at = z0 if scalar else z0[np.argmax(mod)]
         raise QuadratureError(
             f"the tower bound rounds onto the rim at |zeta| = {r}, so no plan meets the budget; "
-            f"z0 = {at}, j = {j}, domain {domain.spec_string()}",
+            f"z0 = {z0.flat[np.argmax(mod)]}, j = {j}, domain {domain.spec_string()}",
             complex("nan"), math.inf,
         )
     base = domain.eval(gamma[0])
 
     def sup(s: float) -> float:
-        w = _climb_bound(gamma, s)
+        w = _climb(moduli, s, s)
         if not w < 1:  # rounded onto the rim
             return math.inf
         top = domain.max_modulus(w) + abs(base)
@@ -153,7 +147,7 @@ def _q(
     try:
         return _gauss_segment(f, z0, sup, (cfg or DEFAULT_CONFIG).abs_tol)[0]
     except QuadratureError as exc:
-        at = z0 if scalar else z0[list(exc.columns)][:4].tolist()
+        at = z0 if z0.ndim == 0 else z0[list(exc.columns)][:4].tolist()
         raise QuadratureError(
             f"{exc}; {names(exc.columns)}, z0 = {at}, j = {j}, domain {domain.spec_string()}",
             exc.estimate,

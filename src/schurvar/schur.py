@@ -269,6 +269,10 @@ def _climb(gamma: tuple[complex, ...], z, w):
     so each level has |1 + conj(a) w| >= 1 - |a| > 0: unlike
     mobius_eval, the climb needs no pole guard.
 
+    On the moduli |a| with z = w = s it is also the towers' Schwarz-Pick
+    bound over |z| <= s and |w| <= |z|: |s_a(w)| <= s_|a|(|w|), which
+    grows with |w|, so every level is bounded by the climb of the moduli.
+
     z and w may be points or arrays that broadcast together.  Every
     operation keeps its operand order (conj(a) w, w + a, then z times the
     quotient): numpy's complex multiply is not bit-symmetric, and the
@@ -278,20 +282,6 @@ def _climb(gamma: tuple[complex, ...], z, w):
         w = z * ((w + a) / (1 + a.conjugate() * w))
     a = gamma[0]
     return (w + a) / (1 + a.conjugate() * w)
-
-
-def _climb_bound(gamma: tuple[complex, ...], s: float) -> float:
-    """A bound on |_climb(gamma, z, w)| over |z| <= s and |w| <= |z|.
-
-    Schwarz-Pick: |s_a(w)| <= (|w| + |a|)/(1 + |a| |w|), which grows with
-    |w|, so climbing the moduli from the leaf bound s bounds every level.
-    """
-    w = s
-    for a in gamma[:0:-1]:
-        m = abs(a)
-        w = s * (w + m) / (1 + m * w)
-    m = abs(gamma[0])
-    return (w + m) / (1 + m * w)
 
 
 def tower_taylor(tower: BlaschkeTower, order: int) -> ComplexSeries:

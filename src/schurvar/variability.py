@@ -164,14 +164,15 @@ def extremal_f_eval(
     zero (the data is (0, gamma_1, ..., gamma_m)), matching the
     coefficient-bridge convention.  Each outer panel gets Q at all its
     nodes from one kernel call, one endpoint per node; these inner
-    integrals run at a tenth of the outer tolerance so their noise
-    stays below the outer error estimate.  f(0) = 0 and f'(0) = 1.
+    integrals run at a tenth of the outer abs_tol (the kernel reads no
+    rel_tol) so their noise stays below the outer error estimate.
+    f(0) = 0 and f'(0) = 1.
     A failure of the outer integral names eps, z and the domain; one of
     an inner integral is raised as the kernel named it.
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    inner = replace(cfg, abs_tol=cfg.abs_tol / 10, rel_tol=cfg.rel_tol / 10)
+    inner = replace(cfg, abs_tol=cfg.abs_tol / 10)
     z = complex(z)
     if z == 0:
         return 0j

@@ -299,6 +299,13 @@ def test_invalid_counts_and_seeds_exit_two_before_any_trial(capsys, argv, messag
     assert capture(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+def test_h_check_argument_that_underflows_exits_zero(capsys):
+    # eps z0^n underflows to 0 at n = 500; H is O(z), so H = 0 there.
+    code, out, err = capture(capsys, _HC + ["--j", "1", "--n", "500", "--trials", "20"])
+    assert (code, err) == (0, "")
+    assert 0 <= json.loads(out)["max_deviation"] <= 1e-10
+
+
 def test_climbed_value_on_the_rim_exits_one(capsys):
     # The kernel fails near the rim: a computational failure, not a usage error.
     z0 = "-0.9403465207915329+0.3402181956343996i"

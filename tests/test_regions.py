@@ -145,6 +145,24 @@ def test_kernel_rejects_an_array_endpoint_with_one_bad_entry(bad):
         regions._q(HP, (0j,), -1, z0, lambda zeta: zeta, None, str)
 
 
+@pytest.mark.parametrize(
+    "dom",
+    [HP, HalfPlane(0.7), Sector(0.5), Janowski(1 + 0.5j, -0.7j), ConicSection(0.0),
+     ConicSection(0.5), ConicSection(1.0)],
+    ids=lambda d: d.spec_string(),
+)
+def test_kernel_reads_every_form_of_one_endpoint_alike(dom):
+    # A point, a 0-d array and a one-element array go down the one endpoint path.
+    z0 = 0.6 * cmath.exp(0.9j)
+    for j in (-1, 0, 2):
+        values = [
+            regions._q(dom, (0.2 + 0.1j, -0.4j), j, z, lambda zeta: cmath.exp(0.4j) * zeta, None, str)
+            for z in (z0, np.asarray(z0), np.array([z0]))
+        ]
+        assert all(v.shape == (1,) for v in values)
+        assert values[0].tobytes() == values[1].tobytes() == values[2].tobytes()
+
+
 def test_trace_grid_is_shared_and_read_only():
     for n in (8, 256, 1000):
         thetas, eps = regions._grid(n)
