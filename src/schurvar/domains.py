@@ -129,30 +129,6 @@ class DomainMap:
         return f"{self.kind}:{values}"
 
 
-class HalfPlane(DomainMap):
-    """Map onto the half-plane Re w > alpha, alpha < 1."""
-
-    kind, params = "halfplane", {"alpha": float}
-    alpha = 0.0  # a spec may leave it out
-
-    def __init__(self, alpha: float = 0.0):
-        super().__init__()
-        alpha = float(alpha)
-        if not alpha < 1:
-            raise ValueError("half-plane order must satisfy alpha < 1")
-        self.alpha = alpha
-
-    def _eval(self, z: np.ndarray) -> np.ndarray:
-        return ((1 - 2 * self.alpha) * z + 1) / (1 - z)
-
-    def max_modulus(self, r: float) -> float:
-        return (1 + abs(1 - 2 * self.alpha) * r) / (1 - r)
-
-    def _taylor(self, order: int) -> ComplexSeries:
-        c = 2 * (1 - self.alpha)
-        return ComplexSeries((1 + 0j,) + (complex(c),) * order)
-
-
 class Sector(DomainMap):
     """Map onto the sector |arg w| < beta*pi/2, 0 < beta <= 1."""
 
@@ -211,6 +187,25 @@ class Janowski(DomainMap):
             out.append(coeff)
             coeff = coeff * (-self.B)
         return ComplexSeries(tuple(out))
+
+
+class HalfPlane(Janowski):
+    """Map onto the half-plane Re w > alpha, alpha < 1: Janowski(1 - 2 alpha, -1)."""
+
+    kind, params = "halfplane", {"alpha": float}
+    alpha = 0.0  # a spec may leave it out
+
+    def __init__(self, alpha: float = 0.0):
+        alpha = float(alpha)
+        if not alpha < 1:
+            raise ValueError("half-plane order must satisfy alpha < 1")
+        super().__init__(1 - 2 * alpha, -1)
+        self.alpha = alpha
+
+    def _taylor(self, order: int) -> ComplexSeries:
+        # 2(1 - alpha) rounds once; A - B = fl(1 - 2 alpha) + 1 twice, which can move alpha1 an ulp.
+        c = 2 * (1 - self.alpha)
+        return ComplexSeries((1 + 0j,) + (complex(c),) * order)
 
 
 class ConicSection(DomainMap):

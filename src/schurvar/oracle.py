@@ -115,10 +115,7 @@ def h_transform(
     try:
         integral = integrate_segment(f, root, cfg)
     except QuadratureError as exc:
-        raise QuadratureError(
-            f"{exc}; j = {j}, n = {n}, z = {z}, domain {domain.spec_string()}",
-            exc.estimate, exc.error_bound,
-        ) from exc
+        raise exc.with_context(f"j = {j}, n = {n}, z = {z}, domain {domain.spec_string()}") from exc
     power = (j + 1) / n
     denom = z ** (j + 1) if n == 1 else cmath.exp(power * cmath.log(z))
     return (j + 1) * integral / denom

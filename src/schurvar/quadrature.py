@@ -196,6 +196,10 @@ class QuadratureError(RuntimeError):
         self.error_bound = error_bound
         self.columns = columns
 
+    def with_context(self, context: str) -> QuadratureError:
+        """This failure, with "; " + context added to its message."""
+        return QuadratureError(f"{self}; {context}", self.estimate, self.error_bound, self.columns)
+
 
 def integrate_segment(
     integrand: Callable[[np.ndarray], np.ndarray],

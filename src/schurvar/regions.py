@@ -148,12 +148,8 @@ def _q(
         return _gauss_segment(f, z0, sup, (cfg or DEFAULT_CONFIG).abs_tol)[0]
     except QuadratureError as exc:
         at = z0 if z0.ndim == 0 else z0[list(exc.columns)][:4].tolist()
-        raise QuadratureError(
-            f"{exc}; {names(exc.columns)}, z0 = {at}, j = {j}, domain {domain.spec_string()}",
-            exc.estimate,
-            exc.error_bound,
-            exc.columns,
-        ) from exc
+        where = f"{names(exc.columns)}, z0 = {at}, j = {j}, domain {domain.spec_string()}"
+        raise exc.with_context(where) from exc
 
 
 def _q_eps(

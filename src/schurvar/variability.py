@@ -197,10 +197,8 @@ def extremal_f_eval(
     except QuadratureError as exc:
         if inner_failures:
             raise
-        raise QuadratureError(
-            f"{exc}; eps = {tower.epsilon}, z = {z}, domain {domain.spec_string()}",
-            exc.estimate, exc.error_bound,
-        ) from exc
+        raise exc.with_context(
+            f"eps = {tower.epsilon}, z = {z}, domain {domain.spec_string()}") from exc
 
 
 def extremal_coefficients(
