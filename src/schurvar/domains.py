@@ -4,7 +4,8 @@ Each map sends the open unit disk onto a convex region containing 1 and
 is normalized so the region data enters only through the first two
 Taylor coefficients alpha1, alpha2 of P at 0.  The catalog:
 
-``halfplane``  (1 + (1-2a) z) / (1 - z), the half-plane Re w > a, a < 1.
+``halfplane``  (1 + (1-2a) z) / (1 - z), the half-plane Re w > a, a < 1:
+               the ``janowski`` map with A = 1 - 2a and B = -1.
 ``sector``     ((1+z)/(1-z))^b, a sector of half-angle b*pi/2, 0 < b <= 1.
 ``janowski``   (1 + A z) / (1 + B z), a disk or half-plane, |B| <= 1, A != B.
 ``kucv``       the conic-section map of parameter k in [0, 1]:
@@ -43,6 +44,7 @@ u^m / (2m)!.  None of them samples P.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -171,6 +173,8 @@ class Janowski(DomainMap):
             raise ValueError("denominator parameter must satisfy |B| <= 1")
         if a == b:
             raise ValueError("parameters must satisfy A != B")
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            raise ValueError("parameters must be finite")
         self.A = a
         self.B = b
 
@@ -225,6 +229,8 @@ class ConicSection(DomainMap):
             raise ValueError("conic parameter must satisfy k >= 0")
         if k > 1:
             raise ValueError("elliptic branch unsupported")
+        if math.isnan(k):
+            raise ValueError("conic parameter must be finite")
         self.k = k
 
     def _eval(self, z: np.ndarray) -> np.ndarray:
@@ -340,8 +346,8 @@ def make_domain(spec: DomainSpec) -> DomainMap:
     """Build a catalog map from a parsed spec.
 
     A bad spec raises ValueError for the first fault in this order: an
-    unknown kind; each parameter in turn, missing before not real; the
-    map's own range checks; then unexpected names.
+    unknown kind; each parameter in turn, missing before not real before
+    not finite; the map's own range checks; then unexpected names.
     """
     kinds = {c.kind: c for c in (HalfPlane, Sector, Janowski, ConicSection)}
     if spec.kind not in kinds:
@@ -355,6 +361,8 @@ def make_domain(spec: DomainSpec) -> DomainMap:
         v = complex(params.pop(name, getattr(cls, name, None)))
         if typ is float and v.imag != 0:
             raise ValueError(f"parameter '{name}' must be real")
+        if not cmath.isfinite(v):
+            raise ValueError(f"parameter '{name}' must be finite")
         args.append(v.real if typ is float else v)
     dom = cls(*args)
     if params:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,7 +58,8 @@ __all__ = [
 
 
 def _thetas(samples: int) -> np.ndarray:
-    """Trace angles theta_m = -pi + 2 pi m / samples, m = 0..samples-1."""
+    """Trace angles theta_m = -pi + 2 pi m / samples, m = 0..samples-1; a float samples raises."""
+    samples = operator.index(samples)
     if samples < 8:
         raise ValueError("samples must be >= 8")
     return -np.pi + 2 * np.pi * np.arange(samples) / samples
@@ -252,6 +254,7 @@ class RegionRequest:
         object.__setattr__(self, "z0", z0)
         if self.j < -1:
             raise ValueError("weight exponent must satisfy j >= -1")
+        object.__setattr__(self, "samples", operator.index(self.samples))
         if self.samples < 8:
             raise ValueError("samples must be >= 8")
         if len(self.data) == 0:

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -368,6 +369,21 @@ def test_usage_errors_exit_two(capsys):
          "--j", "-1", "--z0", "0.5", "--trials", "-3", "--seed", "1"],
     )
     assert (code, out) == (2, "") and "trials" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["region", "--domain", "halfplane:alpha=-1e999", "--data", "0", "--j", "-1", "--z0", "0.5"],
+     "parameter 'alpha' must be finite"),
+    (["extremal", "--domain", "halfplane:alpha=-1e999", "--gamma", "0.3", "--eps", "1", "--order", "4"],
+     "parameter 'alpha' must be finite"),
+    (["extremal", "--domain", "janowski:A=1e999,B=0", "--gamma", "0.3", "--eps", "1", "--order", "4"],
+     "parameter 'A' must be finite"),
+])
+def test_non_finite_domain_parameters_exit_two(capsys, argv, message):
+    # Rejected with the spec, before any map is evaluated: no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert capture(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_os_errors_exit_one(capsys, tmp_path):

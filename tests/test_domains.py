@@ -138,6 +138,29 @@ def test_janowski_reduces_to_halfplane():
         assert all(abs(j.eval(z) - h.eval(z)) <= 1e-12 for z in RNG_POINTS)
 
 
+SIGNED_ZEROS = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.08, -0.16, 1e-9, -3.0])
+def test_halfplane_keeps_its_bits(alpha):
+    # The half-plane is Janowski(1 - 2 alpha, -1); it must still give the
+    # bits of its own expressions, signed zeros included.
+    d = HalfPlane(alpha)
+    z = np.array(RNG_POINTS + SIGNED_ZEROS + [complex(0.5, -0.0), complex(-0.0, 0.5)])
+    want = ((1 - 2 * alpha) * z + 1) / (1 - z)
+    assert np.array_equal(d.eval(z).view(np.uint64), want.view(np.uint64))
+    for p, w in zip(z, want):
+        got = d.eval(complex(p))
+        assert type(got) is complex
+        assert np.array([got]).view(np.uint64).tolist() == np.array([w]).view(np.uint64).tolist()
+    r = np.array([0.0, 1e-300, 0.3, 0.9, 0.999999])
+    want = (1 + abs(1 - 2 * alpha) * r) / (1 - r)
+    got = np.array([d.max_modulus(float(x)) for x in r])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # The Taylor constant rounds once, not as fl(1 - 2 alpha) + 1.
+    assert d.taylor(8).coeffs == (1 + 0j,) + (complex(2 * (1 - alpha)),) * 8
+
+
 def test_conic_alpha1_closed_forms():
     for k in (0.0, 0.3, 0.5, 0.9):
         a = 2 / math.pi * math.acos(k)
@@ -248,6 +271,36 @@ def test_make_domain_catalog():
 def test_make_domain_rejects_bad_specs(kind, params, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make_domain(DomainSpec(kind, params))
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("halfplane", {"alpha": -math.inf}, "parameter 'alpha' must be finite"),
+    ("halfplane", {"alpha": math.nan}, "parameter 'alpha' must be finite"),
+    ("janowski", {"A": complex(1, math.inf), "B": 0}, "parameter 'A' must be finite"),
+    ("janowski", {"A": 2, "B": math.nan}, "parameter 'B' must be finite"),
+    ("sector", {"beta": math.inf}, "parameter 'beta' must be finite"),
+    ("kucv", {"k": math.nan}, "parameter 'k' must be finite"),
+    # Checked in turn, after "must be real" and before the map's own range.
+    ("kucv", {"k": complex(math.inf, 1)}, "parameter 'k' must be real"),
+    ("janowski", {"A": math.inf, "B": 2}, "parameter 'A' must be finite"),
+    ("janowski", {"A": 1, "B": math.inf, "x": 1}, "parameter 'B' must be finite"),
+])
+def test_make_domain_rejects_non_finite_parameters(kind, params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_domain(DomainSpec(kind, params))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HalfPlane(-math.inf),
+    lambda: HalfPlane(-1e308),  # 1 - 2 alpha overflows
+    lambda: Janowski(2, math.nan),
+    lambda: Janowski(math.nan, 0.5),
+    lambda: Janowski(complex(0, math.inf), 0),
+    lambda: ConicSection(math.nan),
+])
+def test_constructors_reject_non_finite_parameters(build):
+    with pytest.raises(ValueError, match="must be finite$"):
+        build()
 
 
 def test_spec_string_identifies_domain():

@@ -232,6 +232,16 @@ def test_hopeless_budget_stops_at_the_panel_cap():
     assert abs(info.value.estimate - (math.exp(0.5) - 1)) <= 1e-15
 
 
+def test_with_context_keeps_the_fields():
+    est, bound = np.array([1 + 2j, complex("nan")]), np.array([0.5, math.inf])
+    err = QuadratureError("2 panels miss", est, bound, (1,))
+    named = err.with_context("z0 = 0.5, domain halfplane:alpha=0")
+    assert type(named) is QuadratureError
+    assert str(named) == "2 panels miss; z0 = 0.5, domain halfplane:alpha=0"
+    assert named.estimate is est and named.error_bound is bound and named.columns == (1,)
+    assert str(err) == "2 panels miss"
+
+
 def test_non_finite_integrand_raises():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(QuadratureError):

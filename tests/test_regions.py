@@ -69,6 +69,22 @@ def test_theta_grid_structure():
         gronwall_curve(0.5, 0.3, samples=7)
 
 
+def test_samples_must_be_an_integer():
+    # A float count once traced part of the boundary without an error.
+    with pytest.raises(TypeError):
+        RegionRequest(HP, (0j,), -1, 0.5, samples=8.5)
+    with pytest.raises(TypeError):
+        regions._thetas(8.5)
+    with pytest.raises(TypeError):
+        gronwall_curve(0.5, 0.3, 9.5)
+    with pytest.raises(TypeError):
+        membership_trial(HP, (0.3,), 0, 0.5, 4, 1, samples=8.5)
+    req = RegionRequest(HP, (0j,), -1, 0.5, samples=np.int64(16))
+    assert type(req.samples) is int
+    assert region_compute(req).polygon.thetas == theta_grid(16)
+    assert gronwall_curve(0.5, 0.3, np.int32(9))[0] == theta_grid(9)
+
+
 @pytest.mark.parametrize("n", [8, 32, 64, 256, 1000, 4096])
 def test_theta_grid_matches_scalar_formula_bit_for_bit(n):
     assert _traced_thetas(n) == theta_grid(n)
