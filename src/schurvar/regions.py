@@ -58,7 +58,7 @@ __all__ = [
 
 
 def _thetas(samples: int) -> np.ndarray:
-    """Trace angles theta_m = -pi + 2 pi m / samples, m = 0..samples-1; a float samples raises."""
+    """Trace angles theta_m = -pi + 2 pi m / samples, m = 0..samples-1, for an integer samples."""
     samples = operator.index(samples)
     if samples < 8:
         raise ValueError("samples must be >= 8")

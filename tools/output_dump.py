@@ -128,18 +128,12 @@ def capture(argv: list[str]) -> tuple[int, bytes, bytes]:
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
-def digest(argv: list[str]) -> tuple[str, int]:
-    """sha16 of one run's stdout and stderr, and its exit code."""
-    code, out, err = capture(argv)
-    h = hashlib.sha256(out + b"\0stderr\0" + err)
-    return h.hexdigest()[:16], code
-
-
 def main() -> None:
     os.environ["COLUMNS"] = "80"
     total = hashlib.sha256()
     for argv in ARGVS:
-        sha, code = digest(argv)
+        code, out, err = capture(argv)
+        sha = hashlib.sha256(out + b"\0stderr\0" + err).hexdigest()[:16]
         line = f"{sha} {code} {shlex.join(argv)}"
         total.update(line.encode() + b"\n")
         print(line)
