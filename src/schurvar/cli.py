@@ -9,6 +9,14 @@ or --out, and maps failures to exit codes; diagnostics go to stderr.
 Output is byte-identical across runs for identical argv: every random
 draw is seeded and all formatting is fixed.
 
+Only the Schur recursion is imported with this module: each handler
+imports the kernel modules it runs when it runs, so a cold ``schur``
+launch compiles neither the quadrature nor the region code.  Four
+kernels, region_compute, q_point, membership_trial and
+extremal_coefficients, are still cli attributes, because
+bench/tracing.py wraps them where cli looks them up; each is a stub
+that imports its module on its first call.
+
 Exit codes: 0 success (an empty region is a valid answer), 1
 computational failure, 2 usage error.
 """
@@ -22,20 +30,15 @@ import json
 import math
 import re
 import sys
-from typing import Sequence
+from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from ._lazy import np
-from .domains import DomainSpec, make_domain
-from .oracle import gronwall_curve, h_transform, membership_trial
-from .regions import (
-    RegionRequest,
-    RegionResult,
-    hausdorff,
-    q_point,
-    region_compute,
-)
 from .schur import _TOL_UNIT, INF, schur_parameters
-from .variability import FixedA2, VariabilityQuery, cv_region, extremal_coefficients
+
+if TYPE_CHECKING:
+    from .domains import DomainSpec
+    from .regions import RegionResult
 
 __all__ = ["parse_complex", "parse_domain", "run", "main"]
 
@@ -98,6 +101,8 @@ def parse_domain(text: str) -> DomainSpec:
                     f"malformed domain parameter {item!r} in {text!r}"
                 )
             params[key] = parse_complex(val)
+    from .domains import DomainSpec
+
     return DomainSpec(kind=kind, params=params)
 
 
@@ -206,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=parse_complex, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--samples", type=int, default=720)
-    p.set_defaults(handler=_compare_gronwall, domain=DomainSpec("halfplane", {}))
+    p.set_defaults(handler=_compare_gronwall)
 
     p = sub.add_parser(
         "membership", help="Monte-Carlo membership check of random "
@@ -248,6 +253,8 @@ def run(argv: Sequence[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         if "domain" in ns:
+            from .domains import make_domain
+
             ns.domain = make_domain(ns.domain)
         text = ns.handler(ns)
         if not isinstance(text, str):
@@ -265,6 +272,28 @@ def run(argv: Sequence[str]) -> int:
     return 0
 
 
+# bench/tracing.py wraps these four kernels where cli looks them up, so
+# they stay cli attributes; each imports its module when first called.
+def region_compute(*args, **kwargs):
+    from .regions import region_compute
+    return region_compute(*args, **kwargs)
+
+
+def q_point(*args, **kwargs):
+    from .regions import q_point
+    return q_point(*args, **kwargs)
+
+
+def membership_trial(*args, **kwargs):
+    from .oracle import membership_trial
+    return membership_trial(*args, **kwargs)
+
+
+def extremal_coefficients(*args, **kwargs):
+    from .variability import extremal_coefficients
+    return extremal_coefficients(*args, **kwargs)
+
+
 def _schur(ns: argparse.Namespace) -> dict:
     sp = schur_parameters(ns.data)
     return {
@@ -274,6 +303,8 @@ def _schur(ns: argparse.Namespace) -> dict:
 
 
 def _region(ns: argparse.Namespace) -> dict | str:
+    from .regions import RegionRequest
+
     req = RegionRequest(
         domain=ns.domain,
         data=ns.data,
@@ -301,8 +332,13 @@ def _extremal(ns: argparse.Namespace) -> dict:
 
 
 def _compare_gronwall(ns: argparse.Namespace) -> dict:
+    from .domains import HalfPlane
+    from .oracle import gronwall_curve
+    from .regions import hausdorff
+    from .variability import FixedA2, VariabilityQuery, cv_region
+
     _, curve = gronwall_curve(ns.z0, ns.lam, ns.samples)
-    res = cv_region(VariabilityQuery(ns.domain, ns.z0, FixedA2(ns.lam)), ns.samples)
+    res = cv_region(VariabilityQuery(HalfPlane(), ns.z0, FixedA2(ns.lam)), ns.samples)
     if not res.is_region:
         # gronwall_curve takes every lambda < 1; schur_parameters reads the
         # band |lambda - 1| <= _TOL_UNIT as unimodular.
@@ -326,6 +362,8 @@ def _membership(ns: argparse.Namespace) -> dict:
 
 
 def _h_check(ns: argparse.Namespace) -> dict:
+    from .oracle import h_transform
+
     # Checked before the loop, so that no trial count hides them.
     if ns.trials < 0:
         raise ValueError("trials must be >= 0")
