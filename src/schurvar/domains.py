@@ -203,6 +203,10 @@ class HalfPlane(Janowski):
         alpha = float(alpha)
         if not alpha < 1:
             raise ValueError("half-plane order must satisfy alpha < 1")
+        if not math.isfinite(1 - 2 * alpha):
+            raise ValueError(
+                f"half-plane order alpha = {alpha!r} overflows 1 - 2 alpha, which must be finite"
+            )
         super().__init__(1 - 2 * alpha, -1)
         self.alpha = alpha
 

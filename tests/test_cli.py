@@ -378,6 +378,8 @@ def test_usage_errors_exit_two(capsys):
      "parameter 'alpha' must be finite"),
     (["extremal", "--domain", "janowski:A=1e999,B=0", "--gamma", "0.3", "--eps", "1", "--order", "4"],
      "parameter 'A' must be finite"),
+    (["region", "--domain", "halfplane:alpha=-1e308", "--data", "0", "--j", "-1", "--z0", "0.5"],
+     "half-plane order alpha = -1e+308 overflows 1 - 2 alpha, which must be finite"),
 ])
 def test_non_finite_domain_parameters_exit_two(capsys, argv, message):
     # Rejected with the spec, before any map is evaluated: no numpy warning.
@@ -432,19 +434,27 @@ def _fresh(*args):
                           timeout=120)
 
 
-def test_cold_schur_loads_no_numpy(capsys):
-    argv = ["schur", "--data=0.5,0.2-0.1i,0.3i"]
+def _cold_launch(argv):
+    """`python -m schurvar *argv` in a fresh interpreter, and the modules
+    of numpy (not counting the lazy stub) and of schurvar it loaded."""
     probe = (
         "import runpy, sys\n"
         f"sys.argv = ['schurvar', *{argv!r}]\n"
         "try:\n"
         "    runpy.run_module('schurvar', run_name='__main__')\n"
         "finally:\n"
-        "    print([m for m in sys.modules if m.startswith('numpy.')], file=sys.stderr)\n"
+        "    print(*sorted(m for m in sys.modules if m.startswith(('numpy.', 'schurvar'))), file=sys.stderr)\n"
     )
     proc = _fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "[]"
+    return proc, proc.stderr.splitlines()[-1].split()
+
+
+def test_cold_schur_loads_no_numpy(capsys):
+    # Nor any kernel module beyond the Schur recursion and its series.
+    argv = ["schur", "--data=0.5,0.2-0.1i,0.3i"]
+    proc, modules = _cold_launch(argv)
+    assert modules == ["schurvar", "schurvar._lazy", "schurvar.cli", "schurvar.schur", "schurvar.series"]
     code, out, _ = capture(capsys, argv)
     assert code == 0 and proc.stdout == out
 
@@ -452,8 +462,9 @@ def test_cold_schur_loads_no_numpy(capsys):
 def test_cold_region_matches_in_process(capsys):
     argv = ["region", "--domain", "sector:beta=0.5", "--data", "0,0.3", "--j", "0",
             "--z0", "0.6+0.2i", "--samples", "16"]
-    proc = _fresh("-m", "schurvar", *argv)
-    assert proc.returncode == 0, proc.stderr
+    proc, modules = _cold_launch(argv)
+    assert "schurvar.regions" in modules
+    assert "schurvar.oracle" not in modules and "schurvar.variability" not in modules
     code, out, _ = capture(capsys, argv)
     assert code == 0 and proc.stdout == out
 

@@ -280,6 +280,8 @@ def test_make_domain_rejects_bad_specs(kind, params, message):
     ("janowski", {"A": 2, "B": math.nan}, "parameter 'B' must be finite"),
     ("sector", {"beta": math.inf}, "parameter 'beta' must be finite"),
     ("kucv", {"k": math.nan}, "parameter 'k' must be finite"),
+    ("halfplane", {"alpha": -1e308},
+     "half-plane order alpha = -1e+308 overflows 1 - 2 alpha, which must be finite"),
     # Checked in turn, after "must be real" and before the map's own range.
     ("kucv", {"k": complex(math.inf, 1)}, "parameter 'k' must be real"),
     ("janowski", {"A": math.inf, "B": 2}, "parameter 'A' must be finite"),
