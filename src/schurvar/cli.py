@@ -15,7 +15,7 @@ launch compiles neither the quadrature nor the region code.  Four
 kernels, region_compute, q_point, membership_trial and
 extremal_coefficients, are still cli attributes, because
 bench/tracing.py wraps them where cli looks them up; each is a stub
-that imports its module on its first call.
+that imports its module when called.
 
 Exit codes: 0 success (an empty region is a valid answer), 1
 computational failure, 2 usage error.
@@ -243,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> int:
     """Run the CLI on argv (no program name); returns the exit code.
 
-    The one place that builds the domain map, writes a handler's result
+    The one place that builds the --domain map, writes a handler's result
     and turns a failure into its exit code: ValueError 2, any other 1.
     """
     ap = _build_parser()
@@ -272,8 +272,7 @@ def run(argv: Sequence[str]) -> int:
     return 0
 
 
-# bench/tracing.py wraps these four kernels where cli looks them up, so
-# they stay cli attributes; each imports its module when first called.
+# Lookup sites of bench/tracing.py (see the module docstring).
 def region_compute(*args, **kwargs):
     from .regions import region_compute
     return region_compute(*args, **kwargs)
@@ -332,6 +331,7 @@ def _extremal(ns: argparse.Namespace) -> dict:
 
 
 def _compare_gronwall(ns: argparse.Namespace) -> dict:
+    # No --domain: the closed-form curve is the half-plane's, alpha = 0.
     from .domains import HalfPlane
     from .oracle import gronwall_curve
     from .regions import hausdorff
