@@ -11,9 +11,9 @@ Monte-Carlo oracles cross-check the result from independent routes.
 The public names of the seven library modules are package attributes,
 but a module is imported only when it or one of its names is first
 read (PEP 562), so a cold ``schurvar schur`` launch compiles the Schur
-recursion alone.  ``_EXPORTS`` repeats each module's ``__all__`` to
-find a name's module without importing the others; tests/test_package.py
-checks the copies.
+recursion alone.  ``_EXPORTS`` is the one list of public names, so a
+name's module is found without importing the others; each module reads
+its ``__all__`` from it.
 """
 
 import importlib

@@ -50,18 +50,11 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping
 
+from . import _EXPORTS
 from ._lazy import np
 from .series import ComplexSeries, series_compose, series_exp
 
-__all__ = [
-    "DomainSpec",
-    "DomainMap",
-    "HalfPlane",
-    "Sector",
-    "Janowski",
-    "ConicSection",
-    "make_domain",
-]
+__all__ = list(_EXPORTS["domains"])
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from . import _EXPORTS
 from ._lazy import np
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
@@ -36,14 +37,7 @@ from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
 from .regions import _grid, _next, _q, _q_eps, _thetas, polygon_signed_distance, q_point  # noqa: F401
 from .schur import _climb, mobius_eval  # noqa: F401
 
-__all__ = [
-    "gronwall_curve_point",
-    "gronwall_curve",
-    "h_transform",
-    "sample_admissible",
-    "MembershipReport",
-    "membership_trial",
-]
+__all__ = list(_EXPORTS["oracle"])
 
 
 def gronwall_curve_point(z0: complex, lam: float, theta: float) -> complex:

@@ -29,9 +29,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from . import _EXPORTS
 from ._lazy import np
 
-__all__ = ["QuadratureConfig", "QuadratureError", "integrate_segment"]
+__all__ = list(_EXPORTS["quadrature"])
 
 # The G15/K31 pair is given by its non-negative Kronrod abscissae
 # (descending; the last is 0), their Kronrod weights, and the Gauss

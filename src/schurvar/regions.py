@@ -35,6 +35,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from . import _EXPORTS
 from ._lazy import np
 from .domains import DomainMap
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, _gauss_segment
@@ -43,18 +44,7 @@ from .quadrature import integrate_segment  # noqa: F401
 from .schur import _TOL_UNIT, Classification, _climb, schur_parameters
 from .schur import tower_eval  # noqa: F401
 
-__all__ = [
-    "RegionRequest",
-    "RegionPolygon",
-    "RegionResult",
-    "q_point",
-    "k_primitive",
-    "single_point_value",
-    "region_compute",
-    "polygon_convexity",
-    "polygon_signed_distance",
-    "hausdorff",
-]
+__all__ = list(_EXPORTS["regions"])
 
 
 def _thetas(samples: int) -> np.ndarray:

@@ -42,21 +42,12 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import _EXPORTS
 from ._lazy import np
 from .series import ComplexSeries, series_mul, series_reciprocal
 from .series import series_compose  # noqa: F401 (bench/tracing.py patches it here)
 
-__all__ = [
-    "INF",
-    "Classification",
-    "SchurParameters",
-    "schur_parameters",
-    "toeplitz_membership",
-    "mobius_eval",
-    "BlaschkeTower",
-    "tower_eval",
-    "tower_taylor",
-]
+__all__ = list(_EXPORTS["schur"])
 
 # Half-width of the bands around |gamma| = 1 and, past a unimodular
 # parameter, around a vanishing coefficient.  Only schur_parameters

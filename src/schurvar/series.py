@@ -19,15 +19,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from ._lazy import np
 
-__all__ = [
-    "ComplexSeries",
-    "series_mul",
-    "series_reciprocal",
-    "series_compose",
-    "series_exp",
-]
+__all__ = list(_EXPORTS["series"])
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from . import _EXPORTS
 from ._lazy import np
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
@@ -43,17 +44,7 @@ from .regions import (  # noqa: F401
 from .schur import BlaschkeTower, schur_parameters, tower_taylor
 from .series import ComplexSeries, series_compose, series_exp
 
-__all__ = [
-    "FixedA2",
-    "FixedA2A3",
-    "VariabilityQuery",
-    "GammaPair",
-    "gamma_from_a2",
-    "gamma_from_a2a3",
-    "cv_region",
-    "extremal_f_eval",
-    "extremal_coefficients",
-]
+__all__ = list(_EXPORTS["variability"])
 
 
 @dataclass(frozen=True)
