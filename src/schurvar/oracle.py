@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -92,6 +93,7 @@ def h_transform(
     the j = -1 weight belongs to the primitive K, not to H.  A
     quadrature failure names j, n, z and the domain.
     """
+    j, n = operator.index(j), operator.index(n)
     if j < 0:
         raise ValueError("transform weight must satisfy j >= 0")
     if n < 1:
@@ -175,7 +177,7 @@ def sample_admissible(
     gamma = tuple(complex(v) for v in gamma)
     if not all(abs(v) < 1 for v in gamma):
         raise ValueError("tower parameters must have modulus < 1")
-    if degree < 0:
+    if operator.index(degree) < 0:
         raise ValueError("blaschke_degree must be >= 0")
     phase, zeros, used = _leaf_draws(seed, 1, (degree,))
     return lambda z: domain.eval(
@@ -278,7 +280,7 @@ def membership_trial(
     can sit outside by the local chord sag, so the default draws
     degrees 1..4, which stay strictly interior.
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = tuple(operator.index(d) for d in degrees)
     if not degrees:
         raise ValueError("degrees must name at least one blaschke degree")
     if any(d < 0 for d in degrees):

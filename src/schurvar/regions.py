@@ -65,6 +65,15 @@ def _grid(samples: int) -> tuple[tuple[float, ...], np.ndarray]:
     return tuple(thetas.tolist()), eps
 
 
+def _weight(j: int) -> int:
+    """The weight exponent as an int, checked: j >= -1.  numpy integers
+    pass; a float raises TypeError, even an integral one."""
+    j = operator.index(j)
+    if j < -1:
+        raise ValueError("weight exponent must satisfy j >= -1")
+    return j
+
+
 def _q(
     domain: DomainMap,
     gamma: Sequence[complex],
@@ -96,8 +105,7 @@ def _q(
     the columns.  ``leaf`` must not write what it reads: a trace's
     leaves are the shared, read-only eps of _grid.
     """
-    if j < -1:
-        raise ValueError("weight exponent must satisfy j >= -1")
+    j = _weight(j)
     z0 = np.asarray(z0, dtype=complex)
     mod = np.abs(z0)
     r = float(mod.max())
@@ -220,9 +228,15 @@ def single_point_value(
     P is never evaluated there (it may be unbounded at that constant).
     """
     g = [complex(v) for v in gamma_prefix]
-    if len(g) == 1:
-        return 0j
-    return complex(_q_eps(domain, g[:-1], j, z0, [g[-1]], cfg)[0])
+    if len(g) > 1:
+        return complex(_q_eps(domain, g[:-1], j, z0, [g[-1]], cfg)[0])
+    # The kernel's checks, in its order, which this shortcut skips.
+    if not abs(g[0]) <= 1 + _TOL_UNIT:
+        raise ValueError("leaf parameter must satisfy |eps| <= 1")
+    _weight(j)
+    if not 0 < abs(complex(z0)) < 1:
+        raise ValueError("z0 must satisfy 0 < |z0| < 1")
+    return 0j
 
 
 @dataclass(frozen=True)
@@ -242,8 +256,7 @@ class RegionRequest:
         if not 0 < abs(z0) < 1:
             raise ValueError("z0 must satisfy 0 < |z0| < 1")
         object.__setattr__(self, "z0", z0)
-        if self.j < -1:
-            raise ValueError("weight exponent must satisfy j >= -1")
+        object.__setattr__(self, "j", _weight(self.j))
         object.__setattr__(self, "samples", operator.index(self.samples))
         if self.samples < 8:
             raise ValueError("samples must be >= 8")

@@ -165,11 +165,11 @@ def extremal_f_eval(
         cfg = QuadratureConfig()
     inner = replace(cfg, abs_tol=cfg.abs_tol / 10)
     z = complex(z)
-    if z == 0:
-        return 0j
     if not abs(z) < 1:
         raise ValueError("argument must satisfy |z| < 1")
     tower = BlaschkeTower((0j,) + tuple(gamma), eps)
+    if z == 0:
+        return 0j
     inner_failures = []
 
     def f(zeta: np.ndarray) -> np.ndarray:

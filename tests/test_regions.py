@@ -7,6 +7,7 @@ that never see the library's own code path.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from schurvar import (
     single_point_value,
 )
 from schurvar import regions
-from schurvar.oracle import gronwall_curve, membership_trial
+from schurvar.oracle import gronwall_curve, h_transform, membership_trial, sample_admissible
 
 HP = HalfPlane()
 
@@ -83,6 +84,34 @@ def test_samples_must_be_an_integer():
     assert type(req.samples) is int
     assert region_compute(req).polygon.thetas == theta_grid(16)
     assert gronwall_curve(0.5, 0.3, np.int32(9))[0] == theta_grid(9)
+
+
+def test_weights_and_degrees_must_be_integers():
+    # A float weight once integrated zeta^0.5 along its branch cut, and a
+    # float degree was truncated: (1.9,) reported what (1,) reports.
+    calls = [
+        lambda: RegionRequest(HP, (0, 0.3), 0.5, -0.5, samples=8),
+        lambda: RegionRequest(HP, (0, 0.3), 1.0, -0.5, samples=8),
+        lambda: q_point(HP, (0, 0.3), 0.5, -0.5, 1),
+        lambda: membership_trial(HP, (0.3,), 0.5, 0.5, 3, 1),
+        lambda: membership_trial(HP, (0.3,), -1, 0.5, 3, 1, degrees=(1.9,)),
+        lambda: h_transform(HP, 0.5, 2, 0.3),
+        lambda: h_transform(HP, 1, 2.0, 0.3),
+        lambda: sample_admissible(HP, (0.3,), 1.5, 0),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    # numpy integers pass, and give the bits of the same Python int.
+    req = RegionRequest(HP, (0, 0.3), np.int64(2), -0.5, samples=8)
+    assert type(req.j) is int
+    plain = RegionRequest(HP, (0, 0.3), 2, -0.5, samples=8)
+    assert region_compute(req).polygon.points == region_compute(plain).polygon.points
+    for j in (-1, 2):
+        assert q_point(HP, (0, 0.3), np.int64(j), -0.5, 1j) == q_point(HP, (0, 0.3), j, -0.5, 1j)
+    one = membership_trial(HP, (0.3,), np.int32(-1), 0.5, 5, 1, samples=16, degrees=np.array([1, 3]))
+    assert one == membership_trial(HP, (0.3,), -1, 0.5, 5, 1, samples=16, degrees=(1, 3))
+    assert h_transform(HP, np.int64(1), np.int64(2), 0.3) == h_transform(HP, 1, 2, 0.3)
 
 
 @pytest.mark.parametrize("n", [8, 32, 64, 256, 1000, 4096])
@@ -292,6 +321,22 @@ def test_region_boundary_head_only_is_zero():
 
 def test_single_point_value_head_prefix_short_circuit():
     assert single_point_value(HP, (1.0,), -1, 0.5) == 0j
+
+
+@pytest.mark.parametrize("args, message", [
+    (((1.0,), -5, 0.5), "j >= -1"),
+    (((1.0,), -5, 5), "j >= -1"),
+    (((1.0,), -1, 5), "0 < |z0| < 1"),
+    (((1.0,), -1, 0), "0 < |z0| < 1"),
+    (((2.0,), -1, 0.5), "|eps| <= 1"),
+])
+def test_single_point_value_checks_before_its_short_circuit(args, message):
+    # The head prefix answers 0 without the kernel, but not for inputs
+    # the kernel rejects: the same inputs with a longer prefix raise.
+    gamma, j, z0 = args
+    for prefix in (gamma, (0.3,) + gamma):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            single_point_value(HP, prefix, j, z0)
 
 
 def test_region_empty_variant():

@@ -8,6 +8,7 @@ independently of the leaf multiplier.
 """
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,17 @@ def test_extremal_order_validation():
 def test_extremal_f_eval_rejects_non_finite_argument():
     with pytest.raises(ValueError, match=r"\|z\| < 1"):
         extremal_f_eval(HP, (0.3,), 1.0, complex("nan"))
+
+
+@pytest.mark.parametrize("gamma, eps, message", [
+    ((2.0,), 1.0, "modulus < 1"),
+    ((0.3,), 5.0, "|eps| <= 1"),
+])
+def test_extremal_f_eval_checks_its_tower_at_the_origin(gamma, eps, message):
+    # f(0) = 0 needs no integral, but the tower must still be admissible.
+    for z in (0, 0.5):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            extremal_f_eval(HP, gamma, eps, z)
 
 
 def test_extremal_f_eval_normalization():
