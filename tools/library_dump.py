@@ -65,19 +65,14 @@ RADII = (0.0, 1e-8, 0.3, 0.5, 0.9, 0.99, 0.999999)
 DATA = ((0j,), (0j, 0.3), (0.2 + 0.1j, 0.3, -0.1j), (0.5,))
 BOUNDARY = ((1.0,), (0.3, 1j), (0.5, 0.5 - 0.2j, -1.0))
 EXTERIOR = ((1.0, 0.5), (0.3, 1.2))
-
-
-def _arrays():
-    """Point arrays of distinct sizes: signed zeros, a polar grid, a
-    near-rim ring and a 2-d block."""
-    grid = (np.linspace(0.05, 0.95, 8)[:, None] * np.exp(1j * np.linspace(-3, 3, 8))).ravel()
-    ring = (1 - np.logspace(-12, -2, 31)) * np.exp(2j * np.pi * np.arange(31) / 31)
-    return (
-        np.array(POINTS[:4]),
-        grid,
-        ring,
-        np.array(POINTS[4:19]).reshape(3, 5),
-    )
+# Point arrays of distinct sizes: signed zeros, a polar grid, a near-rim
+# ring and a 2-d block.
+ARRAYS = (
+    np.array(POINTS[:4]),
+    (np.linspace(0.05, 0.95, 8)[:, None] * np.exp(1j * np.linspace(-3, 3, 8))).ravel(),
+    (1 - np.logspace(-12, -2, 31)) * np.exp(2j * np.pi * np.arange(31) / 31),
+    np.array(POINTS[4:19]).reshape(3, 5),
+)
 
 
 class Call(NamedTuple):
@@ -107,7 +102,7 @@ def _cases():
         dom = schurvar.make_domain(parse_domain(spec))
         for z in POINTS:
             case("eval", dom, z)
-        for a in _arrays():
+        for a in ARRAYS:
             case("eval", dom, a)
         for r in RADII:
             case("max_modulus", dom, r)
@@ -231,7 +226,7 @@ def exact(value) -> str:
         return f"ndarray[{value.dtype}]{value.shape}:{value.tobytes().hex()}"
     if isinstance(value, np.generic):
         return f"{type(value).__name__}:{exact(value.item())}"
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):
         return repr(value)
     if isinstance(value, float):
         return value.hex()
@@ -257,11 +252,14 @@ def outcome(c: Call) -> str:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            text = "value " + exact(make(c))
+            value = make(c)
         except Exception as exc:
             text = f"raise {type(exc).__name__}: {exc}"
             if isinstance(exc, schurvar.QuadratureError):
                 text += f" | {exact(exc.estimate)} {exact(exc.error_bound)} {exact(exc.columns)}"
+        else:
+            # Outside the try: a value the tool cannot write out stops it.
+            text = "value " + exact(value)
     return text + "".join(f"\nwarn {w.category.__name__}: {w.message}" for w in caught)
 
 
