@@ -39,20 +39,15 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-sys.path.insert(0, str(SRC))
+TOOLS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TOOLS.parent / "src"))
+sys.path.insert(0, str(TOOLS))
 
 import numpy as np  # noqa: E402
+from output_dump import MAPS  # noqa: E402
 
 import schurvar  # noqa: E402
 from schurvar.cli import parse_domain  # noqa: E402
-
-# The maps of tools/output_dump.py.
-MAPS = (
-    "halfplane", "halfplane:alpha=0.5", "halfplane:alpha=0.08", "sector:beta=0.5",
-    "sector:beta=0.1", "janowski:A=2,B=-1", "janowski:A=-2,B=-1", "janowski:A=1,B=-1",
-    "janowski:A=1+0.5i,B=-0.7i", "kucv:k=0.5", "kucv:k=1",
-)
 
 # Points of the disk, signed zeros first; 1 lies on the rim, so eval raises.
 POINTS = (
