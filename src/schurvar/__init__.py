@@ -18,8 +18,6 @@ its ``__all__`` from it.
 
 import importlib
 
-from . import _lazy  # noqa: F401 (a missing numpy fails here, at import schurvar)
-
 __version__ = "0.1.0"
 
 _EXPORTS = {

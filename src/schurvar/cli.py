@@ -33,7 +33,6 @@ import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-from ._lazy import np
 from .schur import _TOL_UNIT, INF, schur_parameters
 
 if TYPE_CHECKING:
@@ -362,6 +361,8 @@ def _membership(ns: argparse.Namespace) -> dict:
 
 
 def _h_check(ns: argparse.Namespace) -> dict:
+    import numpy as np
+
     from .oracle import h_transform
 
     # Checked before the loop, so that no trial count hides them.

@@ -50,8 +50,9 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from . import _EXPORTS
-from ._lazy import np
 from .series import ComplexSeries, series_compose, series_exp
 
 __all__ = list(_EXPORTS["domains"])

@@ -24,14 +24,14 @@ measured against the polygon, unless one of them fails.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import _EXPORTS
-from ._lazy import np
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
 # q_point and mobius_eval stay importable here (bench/tracing.py patches them).
@@ -185,12 +185,10 @@ def sample_admissible(
     )
 
 
-@functools.cache
-def _directions() -> np.ndarray:
-    """Rows (cos, sin) of the directions 2 pi k / 16 whose extreme trial
-    values span the throw-away polygon E of _hull_candidates (Akl &
-    Toussaint 1978)."""
-    return np.exp(2j * np.pi * np.arange(16) / 16).view(float).reshape(16, 2)
+# Rows (cos, sin) of the directions 2 pi k / 16 whose extreme trial
+# values span the throw-away polygon E of _hull_candidates (Akl &
+# Toussaint 1978).
+_DIRECTIONS = np.exp(2j * np.pi * np.arange(16) / 16).view(float).reshape(16, 2)
 
 
 # How far inside E, relative to the largest coordinate in play, a value
@@ -202,7 +200,7 @@ _SLACK = 1e-12
 def _hull_candidates(values: np.ndarray, scale: float) -> np.ndarray:
     """Indices of the values that may be vertices of their convex hull.
 
-    E joins, in turn, the values extreme in each of the _directions, a
+    E joins, in turn, the values extreme in each of the _DIRECTIONS, a
     run of one value taken once.  A value more than _SLACK * scale to
     the left of every edge of E is no hull vertex: for each point w of
     the disk of that radius about it, the argument of v - w rises as v
@@ -213,7 +211,7 @@ def _hull_candidates(values: np.ndarray, scale: float) -> np.ndarray:
     if len(values) < 3:
         return np.arange(len(values))
     xy = np.ascontiguousarray(values).view(float).reshape(-1, 2)
-    ext = np.argmax(_directions() @ xy.T, axis=1)
+    ext = np.argmax(_DIRECTIONS @ xy.T, axis=1)
     ext = ext[ext != _next(ext)]
     if len(ext) < 3:
         return np.arange(len(values))

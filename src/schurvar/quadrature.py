@@ -29,8 +29,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import _EXPORTS
-from ._lazy import np
 
 __all__ = list(_EXPORTS["quadrature"])
 

@@ -35,8 +35,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import _EXPORTS
-from ._lazy import np
 from .domains import DomainMap
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, _gauss_segment
 # integrate_segment and tower_eval stay importable here (bench/tracing.py patches them).

@@ -32,7 +32,9 @@ parametrized by |eps| <= 1.  This module evaluates those towers
 pointwise and as truncated Taylor series (the same linear-fractional
 step run backwards on a pair num/den, ended by one series division),
 and provides an independent membership oracle through the norm of the
-lower-triangular Toeplitz matrix built from the data.
+lower-triangular Toeplitz matrix built from the data.  The three
+functions that use numpy import it themselves, because a cold
+``schurvar schur`` launch loads this module to run the recursion alone.
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ from __future__ import annotations
 import cmath
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import _EXPORTS
-from ._lazy import np
 from .series import ComplexSeries, series_mul, series_reciprocal
 from .series import series_compose  # noqa: F401 (bench/tracing.py patches it here)
 
+if TYPE_CHECKING:
+    import numpy as np
 __all__ = list(_EXPORTS["schur"])
 
 # Half-width of the bands around |gamma| = 1 and, past a unimodular
@@ -174,6 +177,7 @@ def toeplitz_membership(
     margin : float
         Must lie in (0, 1e-3).
     """
+    import numpy as np
     if len(data) == 0:
         raise ValueError("data must contain at least c_0")
     if not 0 < margin < 1e-3:
@@ -211,6 +215,7 @@ def mobius_eval(a: complex, z: complex | np.ndarray) -> complex | np.ndarray:
     ZeroDivisionError
         If a denominator underflows ("pole hit").
     """
+    import numpy as np
     a = complex(a)
     denom = 1 + a.conjugate() * z
     if np.any(abs(denom) <= 1e-300):
@@ -284,6 +289,7 @@ def tower_taylor(tower: BlaschkeTower, order: int) -> ComplexSeries:
     without the z factor.  num(0) = 0 below the root, so den(0) = 1
     throughout and one reciprocal and one product finish the series.
     """
+    import numpy as np
     if order < 0:
         raise ValueError("order must be >= 0")
     num = np.zeros(order + 1, dtype=complex)

@@ -11,7 +11,9 @@ expansion and the extremal-coefficient pipeline.  Products are numpy
 convolutions, composition is Horner's rule on one numpy array, the
 reciprocal is Newton's iteration (Brent & Kung 1978), and exp takes one
 numpy dot per coefficient.  schur expands a whole tower as one quotient
-num/den and finishes it with one reciprocal and one product.
+num/den and finishes it with one reciprocal and one product.  Each
+function imports numpy itself, because a cold ``schurvar schur`` launch
+loads this module but calls none of them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import cmath
 from dataclasses import dataclass
 
 from . import _EXPORTS
-from ._lazy import np
 
 __all__ = list(_EXPORTS["series"])
 
@@ -56,6 +57,7 @@ class ComplexSeries:
 
 def series_mul(a: ComplexSeries, b: ComplexSeries) -> ComplexSeries:
     """Cauchy product truncated to the smaller order of the operands."""
+    import numpy as np
     n = min(a.order, b.order)
     out = np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])[: n + 1]
     return ComplexSeries(tuple(out.tolist()))
@@ -73,6 +75,7 @@ def series_reciprocal(a: ComplexSeries) -> ComplexSeries:
     ValueError
         If the constant coefficient vanishes ("non-invertible series").
     """
+    import numpy as np
     if a.coeffs[0] == 0:
         raise ValueError("non-invertible series")
     c = np.asarray(a.coeffs)
@@ -99,6 +102,7 @@ def series_compose(outer: ComplexSeries, inner: ComplexSeries) -> ComplexSeries:
     ValueError
         If ``inner[0] != 0`` ("composition requires inner(0)=0").
     """
+    import numpy as np
     if inner.coeffs[0] != 0:
         raise ValueError("composition requires inner(0)=0")
     n = min(outer.order, inner.order)
@@ -117,6 +121,7 @@ def series_exp(a: ComplexSeries) -> ComplexSeries:
     p E_p = sum_{l=1..p} l a_l E_{p-l}, seeded with E_0 = exp(a_0);
     each step is one numpy dot against the coefficients found so far.
     """
+    import numpy as np
     la = np.arange(len(a)) * np.asarray(a.coeffs)
     out = np.empty(len(a), dtype=complex)
     out[0] = cmath.exp(a.coeffs[0])

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import _EXPORTS
-from ._lazy import np
 from .domains import DomainMap
 from .quadrature import QuadratureConfig, QuadratureError, integrate_segment
 # k_primitive and q_point stay importable from this module (bench/tracing.py patches them here).

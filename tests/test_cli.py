@@ -436,14 +436,14 @@ def _fresh(*args):
 
 def _cold_launch(argv):
     """`python -m schurvar *argv` in a fresh interpreter, and the modules
-    of numpy (not counting the lazy stub) and of schurvar it loaded."""
+    of numpy and of schurvar it loaded."""
     probe = (
         "import runpy, sys\n"
         f"sys.argv = ['schurvar', *{argv!r}]\n"
         "try:\n"
         "    runpy.run_module('schurvar', run_name='__main__')\n"
         "finally:\n"
-        "    print(*sorted(m for m in sys.modules if m.startswith(('numpy.', 'schurvar'))), file=sys.stderr)\n"
+        "    print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'schurvar')), file=sys.stderr)\n"
     )
     proc = _fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr
@@ -454,7 +454,7 @@ def test_cold_schur_loads_no_numpy(capsys):
     # Nor any kernel module beyond the Schur recursion and its series.
     argv = ["schur", "--data=0.5,0.2-0.1i,0.3i"]
     proc, modules = _cold_launch(argv)
-    assert modules == ["schurvar", "schurvar._lazy", "schurvar.cli", "schurvar.schur", "schurvar.series"]
+    assert modules == ["schurvar", "schurvar.cli", "schurvar.schur", "schurvar.series"]
     code, out, _ = capture(capsys, argv)
     assert code == 0 and proc.stdout == out
 
@@ -467,15 +467,6 @@ def test_cold_region_matches_in_process(capsys):
     assert "schurvar.oracle" not in modules and "schurvar.variability" not in modules
     code, out, _ = capture(capsys, argv)
     assert code == 0 and proc.stdout == out
-
-
-def test_numpy_imported_first_is_used_as_is():
-    probe = (
-        "import types, numpy, schurvar._lazy\n"
-        "assert schurvar._lazy.np is numpy and type(numpy) is types.ModuleType\n"
-    )
-    proc = _fresh("-c", probe)
-    assert proc.returncode == 0, proc.stderr
 
 
 # Each hides numpy from a fresh interpreter before schurvar is imported.
@@ -498,15 +489,22 @@ NUMPY_BLOCKERS = {
 
 @pytest.mark.parametrize("blocker", sorted(NUMPY_BLOCKERS))
 def test_missing_numpy_fails_at_import(blocker):
-    # Loudly, at import schurvar, and not as an AttributeError at first use.
+    # The pure-Python recursion runs; a numpy kernel fails loudly where it
+    # imports numpy, at its module or its call, never as an AttributeError.
     probe = (
         "import importlib.util, sys\n"
         + NUMPY_BLOCKERS[blocker]
-        + "try:\n"
-        "    import schurvar\n"
+        + "import schurvar\n"
+        "print(schurvar.schur_parameters((0.5, 0.2)).classification.value)\n"
+        "try:\n"
+        "    from schurvar import region_compute\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)\n"
+        "try:\n"
+        "    schurvar.series_mul(schurvar.ComplexSeries((1, 2)), schurvar.ComplexSeries((3, 4)))\n"
         "except ModuleNotFoundError as exc:\n"
         "    print(exc.name)\n"
     )
     proc = _fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "numpy\n"
+    assert proc.stdout == "interior\nnumpy\nnumpy\n"

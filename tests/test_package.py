@@ -56,4 +56,4 @@ def test_unknown_names_import_no_kernel(name):
         f"print(set(schurvar.__all__) | set({MODULES!r}) <= set(dir(schurvar)))\n"
         "print(*sorted(m for m in sys.modules if m.startswith('schurvar')))\n"
     )
-    assert _fresh(probe) == "False\nTrue\nschurvar schurvar._lazy\n"
+    assert _fresh(probe) == "False\nTrue\nschurvar\n"
