@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Mapping
@@ -108,6 +109,7 @@ class DomainMap:
         raise NotImplementedError
 
     def taylor(self, order: int) -> ComplexSeries:
+        order = operator.index(order)
         if order < 0:
             raise ValueError("order must be >= 0")
         memo = self._taylor_memo.get(order)

@@ -175,6 +175,8 @@ def sample_admissible(
     leaf.  It takes a point or an array of points.
     """
     gamma = tuple(complex(v) for v in gamma)
+    if not gamma:
+        raise ValueError("tower parameters must be given, each of modulus < 1")
     if not all(abs(v) < 1 for v in gamma):
         raise ValueError("tower parameters must have modulus < 1")
     if operator.index(degree) < 0:

@@ -229,6 +229,8 @@ def single_point_value(
     P is never evaluated there (it may be unbounded at that constant).
     """
     g = [complex(v) for v in gamma_prefix]
+    if not g:
+        raise ValueError("gamma_prefix is empty; it must end with the unimodular entry")
     if len(g) > 1:
         return complex(_q_eps(domain, g[:-1], j, z0, [g[-1]], cfg)[0])
     # The kernel's checks, in its order, which this shortcut skips.

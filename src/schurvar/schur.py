@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -53,8 +54,10 @@ if TYPE_CHECKING:
 __all__ = list(_EXPORTS["schur"])
 
 # Half-width of the bands around |gamma| = 1 and, past a unimodular
-# parameter, around a vanishing coefficient.  Only schur_parameters
-# compares against it.
+# parameter, around a vanishing coefficient, in schur_parameters.  The
+# leaf bound |eps| <= 1 of BlaschkeTower, regions._q_eps and
+# single_point_value allows the same slack, and cli._compare_gronwall
+# names it in its message.
 _TOL_UNIT = 1e-12
 
 
@@ -290,6 +293,7 @@ def tower_taylor(tower: BlaschkeTower, order: int) -> ComplexSeries:
     throughout and one reciprocal and one product finish the series.
     """
     import numpy as np
+    order = operator.index(order)
     if order < 0:
         raise ValueError("order must be >= 0")
     num = np.zeros(order + 1, dtype=complex)

@@ -25,6 +25,7 @@ arithmetic and close the loop back to (lambda, mu).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -207,6 +208,7 @@ def extremal_coefficients(
     convention as extremal_f_eval.  Needs order >= 3 so that a2, a3
     exist.
     """
+    order = operator.index(order)
     if order < 3:
         raise ValueError("order must be >= 3")
     full = (0j,) + tuple(complex(v) for v in gamma)

@@ -443,7 +443,7 @@ def _cold_launch(argv):
         "try:\n"
         "    runpy.run_module('schurvar', run_name='__main__')\n"
         "finally:\n"
-        "    print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'schurvar')), file=sys.stderr)\n"
+        "    print(*sorted(m for m in sys.modules if m.startswith(('numpy', 'schurvar'))), file=sys.stderr)\n"
     )
     proc = _fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr

@@ -168,6 +168,12 @@ def test_sampler_validation():
         sample_admissible(HP, (0.5,), 1, -1)
 
 
+def test_sampler_rejects_an_empty_gamma():
+    # It once returned a closure that raised IndexError when called.
+    with pytest.raises(ValueError, match="tower parameters must be given"):
+        sample_admissible(HP, (), 1, 0)
+
+
 def test_membership_trial_all_inside():
     rep = membership_trial(HP, (0j, 0.3), -1, 0.5, trials=200, seed=2)
     assert rep.inside == rep.total == 200

@@ -339,6 +339,13 @@ def test_single_point_value_checks_before_its_short_circuit(args, message):
             single_point_value(HP, prefix, j, z0)
 
 
+def test_single_point_value_rejects_an_empty_prefix():
+    # It once raised IndexError; the missing entry is named before j and z0.
+    for j, z0 in ((-1, 0.5), (-5, 5)):
+        with pytest.raises(ValueError, match="gamma_prefix is empty"):
+            single_point_value(HP, (), j, z0)
+
+
 def test_region_empty_variant():
     res = region_compute(RegionRequest(HP, (1.0, 0.5), -1, 0.5))
     assert res.is_empty

@@ -15,6 +15,7 @@ import pytest
 
 from schurvar import (
     INF,
+    BlaschkeTower,
     ConicSection,
     FixedA2,
     FixedA2A3,
@@ -35,6 +36,7 @@ from schurvar import (
     q_point,
     region_compute,
     schur_parameters,
+    tower_taylor,
 )
 from schurvar import regions, variability
 
@@ -207,6 +209,24 @@ def test_extremal_roundtrip_across_catalog():
 def test_extremal_order_validation():
     with pytest.raises(ValueError):
         extremal_coefficients(HP, (0.3,), 1.0, 2)
+
+
+def test_orders_must_be_integers():
+    # A float order once failed deep inside list or numpy arithmetic.
+    tower = BlaschkeTower((0.3,), 1)
+    calls = [
+        lambda: HP.taylor(2.5),
+        lambda: tower_taylor(tower, 2.5),
+        lambda: extremal_coefficients(HP, (0.3,), 1, 6.5),
+        lambda: extremal_coefficients(HP, (0.3,), 1, 2.5),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+    # numpy integers pass, and give the bits of the same Python int.
+    assert HP.taylor(np.int32(4)) == HP.taylor(4)
+    assert tower_taylor(tower, np.int64(5)) == tower_taylor(tower, 5)
+    assert extremal_coefficients(HP, (0.3,), 1, np.int64(6)) == extremal_coefficients(HP, (0.3,), 1, 6)
 
 
 def test_extremal_f_eval_rejects_non_finite_argument():

@@ -166,6 +166,7 @@ def _cases():
     case("membership_trial", hp, (0.3,), -1, 0.5, 3, 1, degrees=(1.9,))
     case("membership_trial", hp, (0.3,), -1, 0.5, 3, 1, degrees=())
     case("sample_admissible", hp, (0.3,), 1.5, 0)
+    case("sample_admissible", hp, (), 1, 0)
     case("h_transform", hp, 0.5, 2, 0.3)
     case("h_transform", hp, 2, 3, 0.999)
     case("h_transform", hp, 1, 2, 0)
@@ -173,8 +174,12 @@ def _cases():
     case("extremal_f_eval", hp, (0.3,), 5, 0)
     case("extremal_f_eval", hp, (), 1, 0.999)
     case("extremal_f_eval", hp, (0.3,), 1.0, 0.95, failing)
+    case("extremal_coefficients", hp, (0.3,), 1, 6.5)
+    case("taylor", hp, 2.5)
+    case("tower_taylor", call("BlaschkeTower", (0.3,), 1), 2.5)
     case("single_point_value", hp, (1.0,), -5, 5)
     case("single_point_value", hp, (0.3, 1.0), -5, 5)
+    case("single_point_value", hp, (), -1, 0.5)
     case("cv_region", call("VariabilityQuery", hp, 1.2, None))
     case("gronwall_curve_point", 0.5, 1.0, 0.7)
     case("k_primitive", hp, 1.0)
