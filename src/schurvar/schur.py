@@ -51,6 +51,7 @@ from .series import series_compose  # noqa: F401 (bench/tracing.py patches it he
 
 if TYPE_CHECKING:
     import numpy as np
+
 __all__ = list(_EXPORTS["schur"])
 
 # Half-width of the bands around |gamma| = 1 and, past a unimodular
