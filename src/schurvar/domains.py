@@ -29,10 +29,14 @@ Re((1+x)/(1-x)) > 0, so |Im ell| < pi/2, and b, A_k <= 1 keep
 |phi| < pi/2.  Then |t| < 1 and 1 + t^2 lies in [1, 2), so an error of
 one ulp in t moves cos and sin by a few ulp of 1.
 
-Every kernel is a plain expression that never writes its argument, and a
-point runs through the same kernels on numpy scalars.  The sector map and
-``_sqrt`` copy z.real and z.imag once, since each of the several ufuncs
-that read them runs faster on a contiguous array than on a strided view.
+Every kernel is a plain expression that never writes its argument.  A
+point runs through the same kernels on numpy scalars and gives the bits
+the same point gives in an array.  For that every square is written as
+a product: on an array numpy forms x ** 2 as the correctly rounded
+x * x, but on a numpy scalar it calls libm's pow, which rounds some
+squares the other way.  The sector map and ``_sqrt`` copy z.real and
+z.imag once, since each of the several ufuncs that read them runs
+faster on a contiguous array than on a strided view.
 
 Every map's Taylor series is closed form, and alpha1, alpha2 are read
 off it: geometric series for the Moebius maps, exp(b ell) for the
@@ -303,8 +307,9 @@ def _ell(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parts are new arrays (scalars for a point); p and q are read only.
     """
     a = np.abs(p)
+    d = 1 - a
     q2 = q * q
-    re = np.copysign(0.5 * np.log1p(4 * a / ((1 - a) ** 2 + q2)), p)
+    re = np.copysign(0.5 * np.log1p(4 * a / (d * d + q2)), p)
     im = np.arctan2(2 * q, (1 - p) * (1 + p) - q2)
     return re, im
 
