@@ -1,8 +1,9 @@
 """The a priori bounds that plan the region kernel's panels.
 
 Three links, each checked on its own: the Schwarz-Pick climb on moduli
-bounds every tower, each catalog map's max_modulus bounds |P| on a disk,
-and the Gauss bound that the planner sums bounds the kernel's error.
+bounds every tower, each catalog map's max_modulus bounds |P| on a disk
+(in test_map_contract.py), and the Gauss bound that the planner sums
+bounds the kernel's error.
 The last is checked against 50-digit references that never go through
 the kernel: for data (0,) the Taylor oracle of test_taylor_oracle.py
 (the domain's series, summed in mpmath), and for towers mpmath.quad of
@@ -24,15 +25,7 @@ from schurvar import (
 from schurvar import quadrature, regions
 from schurvar.schur import _climb
 
-from mp_maps import mp_map
-
-CATALOG = (
-    HalfPlane(0.0), HalfPlane(0.7), HalfPlane(-0.5),
-    Sector(0.1), Sector(0.5), Sector(1.0),
-    Janowski(2, -1), Janowski(-2, 0.5), Janowski(1 + 0.5j, -0.7j), Janowski(0.5, 1),
-    ConicSection(0.0), ConicSection(0.5), ConicSection(1.0),
-)
-RADII = (0.0, 0.1, 0.5, 0.9, 0.99)
+from mp_maps import CATALOG, mp_map
 
 
 def test_climb_bound_bounds_every_tower():
@@ -59,18 +52,6 @@ def test_climb_bound_is_attained_on_aligned_towers():
         for s in (0.2, 0.7, 0.999):
             want = abs(_climb(tuple(complex(v) for v in gamma), s, s))
             assert abs(_climb(tuple(abs(v) for v in gamma), s, s) - want) <= 1e-15 * want
-
-
-@pytest.mark.parametrize("dom", CATALOG, ids=lambda d: d.spec_string())
-def test_max_modulus_bounds_the_map_on_its_circle(dom):
-    for r in RADII:
-        z = r * np.exp(2j * np.pi * np.arange(2000) / 2000)
-        top = float(np.max(np.abs(dom.eval(z))))
-        bound = dom.max_modulus(r)
-        assert top <= bound * (1 + 1e-13), r
-        if isinstance(dom, (Sector, ConicSection)):
-            # Positive Taylor coefficients: the maximum is P(r), at z = r.
-            assert abs(bound - top) <= 1e-12 * top, r
 
 
 def test_max_modulus_of_moebius_maps_is_an_upper_bound_only():
@@ -196,7 +177,7 @@ def test_near_rim_point_meets_a_tight_budget():
     assert abs(got - want) <= 1e-12
 
 
-@pytest.mark.parametrize("dom", CATALOG[::3], ids=lambda d: d.spec_string())
+@pytest.mark.parametrize("dom", [dom for dom, *_ in CATALOG[::3]], ids=lambda d: d.spec_string())
 def test_tower_bound_rounded_onto_the_rim_raises_before_any_evaluation(monkeypatch, dom):
     # The climb of moduli rounds to 1 at |z0|, so every plan's last panel
     # is unbounded; the kernel says so before it evaluates anything.

@@ -121,16 +121,6 @@ def test_map_matches_40_digit_reference(dom, key):
 
 
 @pytest.mark.parametrize("dom", MAPS, ids=lambda d: d.spec_string())
-def test_scalar_path_matches_array_path(dom):
-    zs = np.concatenate([POINTS["disk"][:8], POINTS["origin"], POINTS["negative axis"][:4]])
-    arr = dom.eval(zs)
-    for z, w in zip(zs, arr):
-        got = dom.eval(complex(z))
-        assert isinstance(got, complex)
-        assert got == w
-
-
-@pytest.mark.parametrize("dom", MAPS, ids=lambda d: d.spec_string())
 def test_negative_axis_is_real_from_either_side(dom):
     # P has no cut in the disk: both signed zeros give the same real value.
     x = POINTS["negative axis"].real[::2]

@@ -34,24 +34,11 @@ RNG_POINTS = [
 ]
 
 
-def test_all_domains_are_normalized_at_zero():
-    for d in (HalfPlane(), HalfPlane(0.5), Sector(0.5), Janowski(2, -1),
-              ConicSection(0.5), ConicSection(1.0)):
-        assert abs(d.eval(0) - 1) <= 1e-14
-        assert abs(d.taylor(0).coeffs[0] - 1) <= 1e-14
-
-
 def test_halfplane_taylor_is_constant_tail():
     t = HalfPlane().taylor(5)
     assert all(abs(c - 2) <= 1e-15 for c in t.coeffs[1:])
     t = HalfPlane(0.5).taylor(5)
     assert all(abs(c - 1) <= 1e-15 for c in t.coeffs[1:])
-
-
-def test_halfplane_range():
-    for alpha in (0.0, 0.5, -1.0):
-        d = HalfPlane(alpha)
-        assert all(d.eval(z).real > alpha - 1e-12 for z in RNG_POINTS)
 
 
 def test_cayley_spot_values():
@@ -77,13 +64,6 @@ def test_sector_square_recovers_full_angle():
 def test_full_sector_low_order_coefficients():
     t = Sector(1.0).taylor(2)
     assert max(abs(c - w) for c, w in zip(t.coeffs, (1, 2, 2))) <= 1e-12
-
-
-def test_sector_range():
-    beta = 0.5
-    d = Sector(beta)
-    for z in RNG_POINTS:
-        assert abs(cmath.phase(d.eval(z))) <= beta * math.pi / 2 + 1e-12
 
 
 def test_sector_alpha_values():
@@ -184,15 +164,6 @@ def test_conic_k_zero_matches_halfplane():
     assert max(abs(a - b) for a, b in zip(t.coeffs, th.coeffs)) <= 1e-10
 
 
-def test_conic_range_property():
-    # Values lie in the region Re w > k |w - 1|.
-    for k in (0.5, 1.0):
-        d = ConicSection(k)
-        for z in RNG_POINTS:
-            w = d.eval(0.9 * z)
-            assert w.real - k * abs(w - 1) > -1e-9
-
-
 def test_conic_taylor_is_real():
     for k in (0.4, 1.0):
         t = ConicSection(k).taylor(8)
@@ -204,23 +175,6 @@ def test_conic_validation():
         ConicSection(1.2)
     with pytest.raises(ValueError):
         ConicSection(-0.1)
-
-
-def test_eval_outside_disk_rejected():
-    # |nan| >= 1 is False: NaN must fail the guard too.
-    bad = (1.0, 1.5j, complex("nan"), complex(0.5, math.nan))
-    for d in (HalfPlane(), Sector(0.5), Janowski(2, -1), ConicSection(0.5)):
-        for z in bad:
-            with pytest.raises(ValueError):
-                d.eval(z)
-            with pytest.raises(ValueError):
-                d.eval(np.array([0.1, z]))
-
-
-def test_eval_of_no_points():
-    for d in (HalfPlane(), Sector(0.5), Janowski(2, -1), ConicSection(0.5)):
-        got = d.eval(np.array([], dtype=complex))
-        assert got.shape == (0,)
 
 
 def test_taylor_memoized_and_consistent():
@@ -334,47 +288,6 @@ def test_spec_string_parses_back_to_every_parameter_exactly():
         ):
             back = make_domain(parse_domain(d.spec_string()))
             assert type(back) is type(d) and params(back) == params(d), d.spec_string()
-
-
-def test_conic_taylor_reaches_order_64():
-    # The closed-form series, summed at z = 0.3, reproduces the map's
-    # own evaluation: the two share no code.
-    for k in (0.5, 1.0):
-        d = ConicSection(k)
-        co = d.taylor(64).coeffs
-        value = sum(c * 0.3**p for p, c in enumerate(co))
-        assert abs(value - d.eval(0.3)) <= 1e-12
-
-
-CATALOG = (HalfPlane(0.5), Sector(0.5), Janowski(2, -1), ConicSection(0.5), ConicSection(1.0))
-
-
-def test_eval_on_arrays_matches_points():
-    zs = np.asarray(RNG_POINTS)
-    for d in CATALOG:
-        got = d.eval(zs)
-        assert got.shape == zs.shape
-        # Array kernels of numpy may round differently in the last bit.
-        assert all(abs(got[i] - d.eval(z)) <= 1e-15 * abs(got[i]) for i, z in enumerate(RNG_POINTS))
-    with pytest.raises(ValueError):
-        HalfPlane().eval(np.asarray([0.5, 1.0]))
-
-
-@pytest.mark.parametrize("d", CATALOG, ids=lambda d: d.spec_string())
-def test_eval_never_writes_its_argument(d):
-    # The argument, a strided slice and a 0-d array come back unchanged,
-    # and the result shares no memory with them.  A strided slice gives
-    # the bits of its contiguous copy.
-    zs = np.asarray(RNG_POINTS).reshape(5, 10)
-    for z in (zs, zs[1:, ::3], np.asarray(zs[2, 3])):
-        before = z.copy()
-        w = d.eval(z)
-        assert z.tobytes() == before.tobytes()
-        assert not np.shares_memory(w, z)
-    strided = zs[1:, ::3]
-    assert d.eval(strided).tobytes() == d.eval(strided.copy()).tobytes()
-    assert type(d.eval(np.asarray(zs[2, 3]))) is complex
-    assert type(d.eval(RNG_POINTS[0])) is complex
 
 
 _PANEL = 0.99 * np.sqrt(_rng.uniform(0, 1, (15, 256))) * np.exp(
