@@ -110,6 +110,11 @@ class DomainMap:
 
     def max_modulus(self, r: float) -> float:
         """An upper bound on |P| over the closed disk |z| <= r, 0 <= r < 1."""
+        if not 0 <= r < 1:
+            raise ValueError("max_modulus radius must satisfy 0 <= r < 1")
+        return self._max_modulus(r)
+
+    def _max_modulus(self, r: float) -> float:
         raise NotImplementedError
 
     def taylor(self, order: int) -> ComplexSeries:
@@ -149,7 +154,7 @@ class Sector(DomainMap):
         m = np.exp(self.beta * m)
         return _pack(m * cos, m * sin)
 
-    def max_modulus(self, r: float) -> float:
+    def _max_modulus(self, r: float) -> float:
         # Positive Taylor coefficients: the maximum is P(r).
         return ((1 + r) / (1 - r)) ** self.beta
 
@@ -181,7 +186,7 @@ class Janowski(DomainMap):
     def _eval(self, z: np.ndarray) -> np.ndarray:
         return (self.A * z + 1) / (self.B * z + 1)
 
-    def max_modulus(self, r: float) -> float:
+    def _max_modulus(self, r: float) -> float:
         return (1 + abs(self.A) * r) / (1 - abs(self.B) * r)
 
     def _taylor(self, order: int) -> ComplexSeries:
@@ -248,7 +253,7 @@ class ConicSection(DomainMap):
         cos, sin = _cis(im)
         return _pack((np.cosh(re) * cos - k2) / (1 - k2), np.sinh(re) * sin / (1 - k2))
 
-    def max_modulus(self, r: float) -> float:
+    def _max_modulus(self, r: float) -> float:
         # Positive Taylor coefficients: the maximum is P(r).  ell(sqrt r)
         # = 2 artanh sqrt r = log((1 + sqrt r)^2 / (1 - r)), a form that
         # stays finite where sqrt r rounds to 1.

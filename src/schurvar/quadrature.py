@@ -169,8 +169,8 @@ class QuadratureConfig:
     rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -358,7 +358,10 @@ def region_compute(req: RegionRequest) -> RegionResult:
 def _points_array(poly) -> np.ndarray:
     if isinstance(poly, RegionPolygon):
         poly = poly.points
-    return np.asarray(poly, dtype=complex)
+    p = np.asarray(poly, dtype=complex)
+    if not p.size:
+        raise ValueError("polygon needs at least one point")
+    return p
 
 
 def _next(p: np.ndarray) -> np.ndarray:

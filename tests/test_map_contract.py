@@ -46,6 +46,9 @@ def test_map_keeps_the_contract(dom, inside, tight):
         assert not tight or abs(dom.max_modulus(r) - top) <= 1e-12 * top, r
     # A tight bound is P(r), the maximum when the coefficients are positive.
     assert not tight or (np.all(coeffs.imag == 0) and np.all(coeffs.real > 0))
+    for r in (-0.5, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="^max_modulus radius must satisfy 0 <= r < 1$"):
+            dom.max_modulus(r)
 
     back = make_domain(parse_domain(dom.spec_string()))
     assert type(back) is type(dom) and all(getattr(back, n) == getattr(dom, n) for n in dom.params)

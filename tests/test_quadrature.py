@@ -205,6 +205,12 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
 
 
+@pytest.mark.parametrize("tols", [(math.nan, 1e-12), (1e-12, math.inf), (math.inf, 1e-12)], ids=str)
+def test_config_rejects_non_finite_tolerances(tols):
+    with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
+        QuadratureConfig(*tols)
+
+
 def test_divergent_integrand_raises_with_estimate():
     # Non-integrable pole on the path (off the dyadic node lattice, so
     # no evaluation lands on it exactly): subdivision gives up at the

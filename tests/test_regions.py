@@ -492,6 +492,14 @@ def test_signed_distance_of_no_queries():
     assert polygon_signed_distance(pts, np.empty((0, 3), complex)).shape == (0, 3)
 
 
+@pytest.mark.parametrize("fn, args", [
+    (polygon_convexity, ([],)), (polygon_signed_distance, ([], 0.5)), (hausdorff, ([], [1, 2, 3])),
+])
+def test_empty_polygon_is_rejected(fn, args):
+    with pytest.raises(ValueError, match="^polygon needs at least one point$"):
+        fn(*args)
+
+
 def test_hausdorff_translation_and_symmetry():
     a = regular_polygon(64)
     b = tuple(p + (0.01 + 0.02j) for p in a)
