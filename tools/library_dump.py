@@ -16,11 +16,12 @@ with the estimate, error bound and columns of a ``QuadratureError``;
 then any warnings it issued.  The last line is ``<sha16> total`` over
 all of them.  The calls run over the eleven maps of
 ``tools/output_dump.py``: ``eval`` on points (signed zeros among them)
-and arrays, ``max_modulus``, ``taylor``, ``alpha1`` and ``alpha2``,
-``k_primitive``, ``q_point`` at tiny, mid and near-rim |z0|, the three
-``region_compute`` variants, ``cv_region`` under each constraint, the
-extremal functions, ``h_transform`` and ``membership_trial``, plus the
-geometry and closed-form oracles and inputs that must raise.
+and arrays, ``max_modulus`` (two radii outside [0, 1) among them),
+``taylor``, ``alpha1`` and ``alpha2``, ``k_primitive``, ``q_point`` at
+tiny, mid and near-rim |z0|, the three ``region_compute`` variants,
+``cv_region`` under each constraint, the extremal functions,
+``h_transform`` and ``membership_trial``, plus the geometry and
+closed-form oracles and inputs that must raise.
 
 A change that claims identical library outputs runs it in two exports
 and diffs them, as with ``tools/output_dump.py``:
@@ -99,7 +100,7 @@ def _cases():
             case("eval", dom, z)
         for a in ARRAYS:
             case("eval", dom, a)
-        for r in RADII:
+        for r in RADII + (-0.5, 1.5):  # the last two lie outside [0, 1)
             case("max_modulus", dom, r)
         for order in (0, 3, 8, 24):
             case("taylor", dom, order)
@@ -183,6 +184,16 @@ def _cases():
     case("cv_region", call("VariabilityQuery", hp, 1.2, None))
     case("gronwall_curve_point", 0.5, 1.0, 0.7)
     case("k_primitive", hp, 1.0)
+    case("QuadratureConfig", float("nan"), 1e-12)
+    case("QuadratureConfig", 1e-12, float("inf"))
+    case("polygon_convexity", [])
+    case("polygon_signed_distance", [], 0.5)
+    case("hausdorff", [], [1, 2, 3])
+    # A point where libm's pow once rounded a square of the conic kernel
+    # off, alone and in an array: the two must give the same bits.
+    z = 0.06220119171036783 - 0.2709785694421813j
+    case("eval", schurvar.ConicSection(1.0), z)
+    case("eval", schurvar.ConicSection(1.0), np.array([z]))
     return out
 
 
