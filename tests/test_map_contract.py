@@ -2,6 +2,8 @@
 
 The paper's regions are exact when the domain P(disk) is convex, so a
 circle near the rim must map onto a convex polygon inside the domain.
+Each clause of the contract is one test over the whole catalog, so a
+failure names both the map and the clause it breaks.
 """
 
 import mpmath
@@ -24,35 +26,63 @@ EDGE = np.concatenate([
     POINTS["negative axis"], [0.06220119171036783 - 0.2709785694421813j],
 ])
 
+every_map = pytest.mark.parametrize(
+    "dom, inside, tight", CATALOG, ids=[d.spec_string() for d, *_ in CATALOG])
 
-@pytest.mark.parametrize("dom, inside, tight", CATALOG, ids=[d.spec_string() for d, *_ in CATALOG])
-def test_map_keeps_the_contract(dom, inside, tight):
+
+@every_map
+def test_map_is_normalized_at_zero(dom, inside, tight):
     assert dom.eval(0) == 1 and dom.taylor(0).coeffs == (1,)
+
+
+@every_map
+def test_eval_matches_its_own_taylor_series(dom, inside, tight):
     coeffs = np.array(dom.taylor(64).coeffs)
     half = 0.5 * CIRCLE[::64]
     w = dom.eval(half)
     assert np.all(np.abs(w - np.polyval(coeffs[::-1], half)) <= 1e-12 * np.maximum(1, np.abs(w)))
+
+
+@every_map
+def test_eval_matches_mpmath(dom, inside, tight):
     with mpmath.workdps(30):
         want = np.array([complex(mp_map(dom)(mpmath.mpc(z.real, z.imag))) for z in DISK[:50]])
     assert np.all(np.abs(dom.eval(DISK[:50]) - want) <= 1e-14 * np.maximum(1, np.abs(want)))
 
+
+@every_map
+def test_values_lie_in_the_convex_domain(dom, inside, tight):
     rim = dom.eval((1 - 1e-6) * CIRCLE)
     assert np.all(inside(dom.eval(DISK))) and np.all(inside(rim))
     assert polygon_convexity(rim)
 
+
+@every_map
+def test_max_modulus_bounds_the_map_on_its_circle(dom, inside, tight):
     for r in (0.0, 0.1, 0.5, 0.9, 0.99):
         top = float(np.max(np.abs(dom.eval(r * CIRCLE))))
         assert top <= dom.max_modulus(r) * (1 + 1e-13), r
         assert not tight or abs(dom.max_modulus(r) - top) <= 1e-12 * top, r
     # A tight bound is P(r), the maximum when the coefficients are positive.
+    coeffs = np.array(dom.taylor(64).coeffs)
     assert not tight or (np.all(coeffs.imag == 0) and np.all(coeffs.real > 0))
+
+
+@every_map
+def test_max_modulus_rejects_radii_outside_the_disk(dom, inside, tight):
     for r in (-0.5, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError, match="^max_modulus radius must satisfy 0 <= r < 1$"):
             dom.max_modulus(r)
 
+
+@every_map
+def test_spec_string_rebuilds_the_map(dom, inside, tight):
     back = make_domain(parse_domain(dom.spec_string()))
     assert type(back) is type(dom) and all(getattr(back, n) == getattr(dom, n) for n in dom.params)
 
+
+@every_map
+def test_eval_rejects_points_off_the_disk(dom, inside, tight):
     # |nan| < 1 is False: NaN fails the guard too.
     for z in (1.0, 1.5j, complex("nan"), complex(0.5, float("nan"))):
         with pytest.raises(ValueError):
@@ -61,6 +91,9 @@ def test_map_keeps_the_contract(dom, inside, tight):
             dom.eval(np.array([0.1, z]))
     assert dom.eval(np.array([], dtype=complex)).shape == (0,)
 
+
+@every_map
+def test_eval_never_writes_its_argument(dom, inside, tight):
     # An array, a strided view and a 0-d array come back unchanged and
     # share no memory with the result; a view gives its copy's bits.
     block = DISK[:50].reshape(5, 10)
@@ -70,6 +103,9 @@ def test_map_keeps_the_contract(dom, inside, tight):
     assert dom.eval(block[1:, ::3]).tobytes() == dom.eval(block[1:, ::3].copy()).tobytes()
     assert type(dom.eval(np.asarray(block[2, 3]))) is complex
 
+
+@every_map
+def test_point_gives_the_array_bits(dom, inside, tight):
     zs = np.concatenate([DISK, EDGE])
     points = [dom.eval(complex(z)) for z in zs]
     assert all(type(p) is complex for p in points)
