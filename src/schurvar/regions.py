@@ -75,6 +75,11 @@ def _weight(j: int) -> int:
     return j
 
 
+# How far inside the rim _q's tower bound must lie for the kernel to skip
+# the map's |w| < 1 guard (see _q).
+_RIM_MARGIN = 1e-9
+
+
 def _q(
     domain: DomainMap,
     gamma: Sequence[complex],
@@ -99,12 +104,23 @@ def _q(
     abs_tol, and so max(abs_tol, rel_tol |Q|).  Inputs are checked
     before the plan.  A tower bound that rounds onto the rim at max |z0|
     raises QuadratureError before anything is evaluated, naming the
-    endpoint of largest modulus, j and the domain.  Below 1 the bound
-    may still leave a climbed value that rounds onto the rim; that, and
-    any other quadrature failure, raises QuadratureError naming z0 (the
-    failing endpoints of a 1-d z0), j, the domain and, via ``names``,
-    the columns.  ``leaf`` must not write what it reads: a trace's
-    leaves are the shared, read-only eps of _grid.
+    endpoint of largest modulus, j and the domain.
+
+    The same bound settles the map's |w| < 1 guard.  When r and the
+    bound both lie at most _RIM_MARGIN inside 1, the integrand calls the
+    map's unguarded ``_eval``: every level below the root multiplies by
+    zeta, so each carried value has modulus at most r (the leaf's 1e-12
+    slack included), and each step rounds by a few ulps.  A disk
+    automorphism keeps the ratio of an error to 1 - |w|^2 (the hyperbolic
+    metric is invariant), so that rounding stays a tiny share of the
+    distance to the rim and no climbed value reaches it.  Otherwise the
+    integrand calls the guarded ``eval``, and a climbed value that
+    rounds onto the rim raises QuadratureError, as does any other
+    quadrature failure, naming z0 (the failing endpoints of a 1-d z0),
+    j, the domain and, via ``names``, the columns.  The integrand writes
+    P(w) - P(gamma_0) and then its weighted value into the array the map
+    returned.  ``leaf`` must not write what it reads: a trace's leaves
+    are the shared, read-only eps of _grid.
     """
     j = _weight(j)
     z0 = np.asarray(z0, dtype=complex)
@@ -126,6 +142,9 @@ def _q(
             complex("nan"), math.inf,
         )
     base = domain.eval(gamma[0])
+    # The map's own |w| < 1 guard runs only where the plan cannot rule the rim out.
+    safe = r <= 1 - _RIM_MARGIN and _climb(moduli, r, r) <= 1 - _RIM_MARGIN
+    p_of = domain._eval if safe else domain.eval
 
     def sup(s: float) -> float:
         w = _climb(moduli, s, s)
@@ -137,13 +156,15 @@ def _q(
     def f(zeta: np.ndarray) -> np.ndarray:
         w = _climb(gamma, zeta, leaf(zeta))
         try:
-            p = domain.eval(w)
+            p = p_of(w)
         except ValueError as exc:  # the map's guard: a climbed value rounded onto the rim
             rim = tuple(np.flatnonzero(~np.all(np.abs(w) < 1, axis=0)).tolist())
             msg = f"a tower value rounds onto the rim at |zeta| <= {r}"
             raise QuadratureError(msg, complex("nan"), math.inf, rim) from exc
-        # zeta^j first: numpy's complex multiply is not bit-symmetric.
-        return zeta**j * (p - base)
+        # p is the map's new array, so both steps write it.  zeta^j first:
+        # numpy's complex multiply is not bit-symmetric.
+        np.subtract(p, base, out=p)
+        return np.multiply(zeta**j, p, out=p)
 
     try:
         return _gauss_segment(f, z0, sup, (cfg or DEFAULT_CONFIG).abs_tol)[0]

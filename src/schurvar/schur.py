@@ -275,12 +275,16 @@ def _climb(gamma: tuple[complex, ...], z, w):
 
     z and w may be points or arrays that broadcast together.  Every
     operation keeps its operand order (conj(a) w, w + a, then z times the
-    quotient): numpy's complex multiply is not bit-symmetric, and the
-    climb must give mobius_eval's bits.
+    quotient): numpy's complex multiply is not bit-symmetric, and each
+    level must give mobius_eval's bits.  A root gamma_0 = 0 is the
+    identity and is skipped, so the climb then returns the carried value
+    itself (the leaf w when gamma has one entry).
     """
     for a in gamma[:0:-1]:
         w = z * ((w + a) / (1 + a.conjugate() * w))
     a = gamma[0]
+    if a == 0:
+        return w
     return (w + a) / (1 + a.conjugate() * w)
 
 
