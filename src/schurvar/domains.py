@@ -187,7 +187,17 @@ class Janowski(DomainMap):
         return (self.A * z + 1) / (self.B * z + 1)
 
     def _max_modulus(self, r: float) -> float:
-        return (1 + abs(self.A) * r) / (1 - abs(self.B) * r)
+        # |z| <= r maps onto the disk of centre (1 - A conj(B) r^2)/d and
+        # radius |A - B| r/d, d = 1 - |B|^2 r^2 = (1 - |B| r)(1 + |B| r),
+        # whose farthest point from 0 lies |centre| + radius away.  Where
+        # A conj(B) <= 0, |1 + A z| and 1/|1 + B z| peak at the same point
+        # and that distance is (1 + |A| r)/(1 - |B| r), whose bits are kept.
+        ab = self.A * self.B.conjugate()
+        if ab.imag == 0 and ab.real <= 0:
+            return (1 + abs(self.A) * r) / (1 - abs(self.B) * r)
+        b = abs(self.B) * r
+        d = (1 - b) * (1 + b)
+        return abs((1 - ab * (r * r)) / d) + abs(self.A - self.B) * r / d
 
     def _taylor(self, order: int) -> ComplexSeries:
         out = [1 + 0j]

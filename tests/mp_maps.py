@@ -18,8 +18,7 @@ from schurvar import ConicSection, HalfPlane, Janowski, Sector
 # For the Moebius maps (1 + A z)/(1 + B z), z = (w - 1)/(A - B w) lies in the disk.
 CATALOG = (
     (HalfPlane(0.0), lambda w: np.abs(w - 1) < np.abs(1 + w), True),
-    # Positive coefficients, but max_modulus (1 + |A| r)/(1 - r) > P(r) as A < 0.
-    (HalfPlane(0.7), lambda w: np.abs(w - 1) < np.abs(-0.4 + w), False),
+    (HalfPlane(0.7), lambda w: np.abs(w - 1) < np.abs(-0.4 + w), True),
     (HalfPlane(-0.5), lambda w: np.abs(w - 1) < np.abs(2 + w), True),
     (Sector(0.1), lambda w: np.abs(np.angle(w)) < 0.05 * np.pi, True),
     (Sector(0.5), lambda w: np.abs(np.angle(w)) < 0.25 * np.pi, True),

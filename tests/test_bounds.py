@@ -54,12 +54,17 @@ def test_climb_bound_is_attained_on_aligned_towers():
             assert abs(_climb(tuple(abs(v) for v in gamma), s, s) - want) <= 1e-15 * want
 
 
-def test_max_modulus_of_moebius_maps_is_an_upper_bound_only():
-    # alpha > 1/2, and A = -2 against B = -0.5 of the same argument: the
-    # maximum falls short of the triangle bound.
-    for dom in (HalfPlane(0.7), Janowski(-2, -0.5)):
-        z = 0.5 * np.exp(2j * np.pi * np.arange(2000) / 2000)
-        assert np.max(np.abs(dom.eval(z))) < 0.99 * dom.max_modulus(0.5)
+def test_max_modulus_of_moebius_maps_is_attained():
+    # |z| <= r maps onto a disk of centre c; the point of modulus
+    # max_modulus(r) in the direction of c must be the image of a point of
+    # |z| = r, its preimage (w - 1)/(A - B w).  alpha > 1/2, and A = -2
+    # against B = -0.5 of the same argument, are where the triangle bound
+    # (1 + |A| r)/(1 - |B| r) overshot.
+    for dom in (HalfPlane(0.7), Janowski(-2, -0.5), Janowski(1 + 0.5j, -0.7j), Janowski(0.5, 1)):
+        for r in (0.1, 0.5, 0.9):
+            c = (1 - dom.A * dom.B.conjugate() * r * r) / (1 - abs(dom.B) ** 2 * r * r)
+            w = c / abs(c) * dom.max_modulus(r)
+            assert abs(abs((w - 1) / (dom.A - dom.B * w)) - r) <= 1e-13, (dom.spec_string(), r)
 
 
 # ---- the planned kernel's bound against 50-digit references ----
