@@ -211,6 +211,46 @@ def test_climbed_value_on_the_rim_is_a_quadrature_error():
     assert str(info.value).endswith(tail)
 
 
+# Data of length 1-3, gamma_0 = 0 and gamma_0 != 0.
+GUARD_DATA = ((0,), (0.4j,), (0, 0.3), (0.5, 0.2 - 0.3j), (0, 0.3, -0.2j), (0.2 + 0.1j, 0.3, -0.1j))
+
+
+def _traces(dom):
+    return [
+        region_compute(RegionRequest(dom, data, j, r * cmath.exp(2.1j), samples=16)).polygon.points
+        for data in GUARD_DATA for j in (-1, 0, 2) for r in (0.5, 0.95, 0.999)
+    ]
+
+
+@pytest.mark.parametrize("dom", [dom for dom, *_ in CATALOG], ids=lambda d: d.spec_string())
+def test_kernel_skips_the_guard_only_where_no_value_reaches_the_rim(monkeypatch, dom):
+    # The kernel calls _eval unguarded where its tower bound lies inside
+    # the rim; every argument must still be what the guard lets through.
+    want = _traces(dom)
+    plain = dom._eval
+
+    def guarded(z):
+        assert np.abs(z).max(initial=0) < 1
+        return plain(z)
+
+    monkeypatch.setattr(dom, "_eval", guarded)
+    assert np.array(_traces(dom)).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("dom", [dom for dom, *_ in CATALOG], ids=lambda d: d.spec_string())
+def test_trace_calls_the_guarded_eval_on_no_array(monkeypatch, dom):
+    shapes = []
+    guarded = type(dom).eval
+
+    def spy(self, z):
+        shapes.append(np.shape(z))
+        return guarded(self, z)
+
+    monkeypatch.setattr(type(dom), "eval", spy)
+    region_compute(RegionRequest(dom, (0.2 + 0.1j, 0.3), 0, 0.95 * cmath.exp(0.3j)))
+    assert shapes == [()]
+
+
 # Nodes per boundary point, panel by panel, for data (0, 0.3) and j = -1
 # at z0 = r e^{0.3i} and the default budget.
 NODES_PER_POINT = (

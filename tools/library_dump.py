@@ -18,7 +18,10 @@ all of them.  The calls run over the eleven maps of
 ``tools/output_dump.py``: ``eval`` on points (signed zeros among them)
 and arrays, ``max_modulus`` (two radii outside [0, 1) among them),
 ``taylor``, ``alpha1`` and ``alpha2``, ``k_primitive``, ``q_point`` at
-tiny, mid and near-rim |z0|, the three ``region_compute`` variants,
+tiny, mid and near-rim |z0| (per map kind, one tower bound just inside
+and one just outside the margin of the kernel's unguarded map calls),
+the three ``region_compute`` variants, real-axis traces with
+gamma_0 = 0 (whose imaginary parts are signed zeros),
 ``cv_region`` under each constraint, the extremal functions,
 ``h_transform`` and ``membership_trial``, plus the geometry and
 closed-form oracles and inputs that must raise.
@@ -94,6 +97,7 @@ def _cases():
 
     tight = call("QuadratureConfig", abs_tol=1e-13, rel_tol=1e-13)
     failing = call("QuadratureConfig", 1e-300, 1e-300)
+    kinds = set()
     for spec in MAPS:
         dom = schurvar.make_domain(parse_domain(spec))
         for z in POINTS:
@@ -114,6 +118,18 @@ def _cases():
                     for eps in (1, 1j, -0.4 + 0.3j):
                         case("q_point", dom, data, j, z0, eps)
         case("q_point", dom, DATA[1], -1, 0.5, 1j, tight)
+        # The tower bound of data (0.5,) lies 1.3e-9 and 0.7e-9 inside the
+        # rim: just inside and just outside the margin of the kernel's
+        # unguarded map calls.
+        if dom.kind not in kinds:
+            kinds.add(dom.kind)
+            for z0 in (1 - 4e-9, 1 - 2e-9):
+                case("q_point", dom, DATA[3], 0, z0, 1)
+        # Real-axis traces with gamma_0 = 0: imaginary parts that are +0 or -0.
+        for data in DATA[:2]:
+            for z0 in (0.5, -0.9):
+                for j in (-1, 0, 1):
+                    case("region_compute", call("RegionRequest", dom, data, j, z0, samples=16))
         for data, j, z0 in ((DATA[1], -1, 0.5), (DATA[2], 1, 0.8j), (DATA[3], 3, -0.6 + 0.75j)):
             case("region_compute", call("RegionRequest", dom, data, j, z0, samples=64))
         for data in BOUNDARY + EXTERIOR:
