@@ -107,10 +107,10 @@ def _q(
     endpoint of largest modulus, j and the domain.
 
     The same bound settles the map's |w| < 1 guard.  When r and the
-    bound both lie at most _RIM_MARGIN inside 1, the integrand calls the
-    map's unguarded ``_eval``: every level below the root multiplies by
-    zeta, so each carried value has modulus at most r (the leaf's 1e-12
-    slack included), and each step rounds by a few ulps.  A disk
+    bound are both at most 1 - _RIM_MARGIN, the integrand calls the map's
+    unguarded ``_eval``: every level below the root multiplies by zeta,
+    so each carried value has modulus at most r (the leaf's 1e-12 slack
+    included), and each step rounds by a few ulps.  A disk
     automorphism keeps the ratio of an error to 1 - |w|^2 (the hyperbolic
     metric is invariant), so that rounding stays a tiny share of the
     distance to the rim and no climbed value reaches it.  Otherwise the
@@ -134,7 +134,8 @@ def _q(
     # |s_a(w)| <= s_|a|(|w|), which grows with |w|: the climb of the moduli
     # from the leaf bound s bounds every tower on |zeta| <= s.
     moduli = tuple(abs(a) for a in gamma)
-    if not _climb(moduli, r, r) < 1:
+    bound = _climb(moduli, r, r)
+    if not bound < 1:
         # Every plan's last panel reaches past |z0|, where sup is infinite.
         raise QuadratureError(
             f"the tower bound rounds onto the rim at |zeta| = {r}, so no plan meets the budget; "
@@ -143,7 +144,7 @@ def _q(
         )
     base = domain.eval(gamma[0])
     # The map's own |w| < 1 guard runs only where the plan cannot rule the rim out.
-    safe = r <= 1 - _RIM_MARGIN and _climb(moduli, r, r) <= 1 - _RIM_MARGIN
+    safe = r <= 1 - _RIM_MARGIN and bound <= 1 - _RIM_MARGIN
     p_of = domain._eval if safe else domain.eval
 
     def sup(s: float) -> float:
