@@ -143,7 +143,6 @@ def _q(
             complex("nan"), math.inf,
         )
     base = domain.eval(gamma[0])
-    # The map's own |w| < 1 guard runs only where the plan cannot rule the rim out.
     safe = r <= 1 - _RIM_MARGIN and bound <= 1 - _RIM_MARGIN
     p_of = domain._eval if safe else domain.eval
 
