@@ -19,7 +19,10 @@ cap on their count, as QUADPACK's, not on bisection depth):
   |zeta| = |z_end| (c + h (rho + 1/rho)/2), and the caller bounds the
   integrand on that disk.  Each panel takes the fewest nodes of
   N = 10, 15, 20, 30 that meet its share of the budget.  The bound
-  covers truncation, not rounding.
+  covers truncation, not rounding.  A weight zeta^j is carried by the
+  rule, not the integrand: t^j in the Gauss weights and z_end^(j+1) on
+  the sum, so the plan, which bounds the weighted integrand, is the
+  same either way.
 """
 
 from __future__ import annotations
@@ -300,11 +303,17 @@ def _gauss_segment(
     z_end: complex | np.ndarray,
     sup: Callable[[float], float],
     tol: float,
+    j: int = 0,
 ) -> tuple[np.ndarray, float]:
-    """The integrals along [0, z_end[c]], one per column c, and their bound.
+    """The integrals of zeta^j integrand(zeta) along [0, z_end[c]], one
+    per column c, and their bound.
 
-    0 < |z_end| < 1, and sup(s) bounds the integrand on |zeta| <= s < 1.
-    Each panel of [0, 1] takes the fewest nodes N of 10, 15, 20 and 30
+    0 < |z_end| < 1, j >= -1, and sup(s) bounds zeta^j integrand(zeta)
+    on |zeta| <= s < 1.  With zeta = t z_end the weight is t^j z_end^j:
+    t^j goes into each panel's Gauss weights, and z_end^(j+1) (with the
+    Jacobian) multiplies each column's sum once.  So the integrand never
+    forms zeta^j, and for j = 0 the sums keep the bits of the unweighted
+    rule.  Each panel of [0, 1] takes the fewest nodes N of 10, 15, 20 and 30
     whose bound is at most tol (b - a); a panel that misses it at N = 30
     is halved, up to _MAX_PANELS panels.  An array z_end is planned for
     its largest modulus, whose bound covers every column.  The integrand
@@ -335,9 +344,10 @@ def _gauss_segment(
     with np.errstate(invalid="ignore", over="ignore"):
         for a, b, n, _ in panels:
             x, w = _gauss(n)
-            f = integrand((0.5 * (a + b) + 0.5 * (b - a) * x)[:, None] * z_end)
-            total = total + 0.5 * (b - a) * (w @ f)
-        total = z_end * total
+            t = 0.5 * (a + b) + 0.5 * (b - a) * x
+            f = integrand(t[:, None] * z_end)
+            total = total + 0.5 * (b - a) * ((w * t**j) @ f)
+        total = z_end ** (j + 1) * total
     bound = math.fsum(e for *_, e in panels)
     if not np.isfinite(total).all():
         bad = tuple(np.flatnonzero(~np.isfinite(total)).tolist())

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .domains import DomainMap
+from .domains import DomainMap, Janowski
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, _gauss_segment
 # integrate_segment and tower_eval stay importable here (bench/tracing.py patches them).
 from .quadrature import integrate_segment  # noqa: F401
@@ -117,10 +117,21 @@ def _q(
     integrand calls the guarded ``eval``, and a climbed value that
     rounds onto the rim raises QuadratureError, as does any other
     quadrature failure, naming z0 (the failing endpoints of a 1-d z0),
-    j, the domain and, via ``names``, the columns.  The integrand writes
-    P(w) - P(gamma_0) and then its weighted value into the array the map
-    returned.  ``leaf`` must not write what it reads: a trace's leaves
-    are the shared, read-only eps of _grid.
+    j, the domain and, via ``names``, the columns.  The integrand is
+    P(w) - P(gamma_0) alone, written into the array the map returned;
+    _gauss_segment carries the weight zeta^j.  ``leaf`` must not write
+    what it reads: a trace's leaves are the shared, read-only eps of
+    _grid.
+
+    On the unguarded path a map whose ``_eval`` is Janowski's (the
+    half-planes included) skips both the root step and the subtraction.
+    With v the value below the root (the climb of gamma_1..gamma_n, or
+    the leaf) and w = s_{gamma_0}(v), P(w) - P(gamma_0) = v / (c + d v)
+    exactly, for K = (A - B)(1 - |gamma_0|^2)/(1 + B gamma_0),
+    c = (1 + B gamma_0)/K and d = (conj gamma_0 + B)/K.  So it keeps its
+    relative accuracy where the difference is small, as at small |z0|.
+    It needs no guard: K (c + d v) = (1 + B w)(1 + conj gamma_0 v), and
+    |1 + B w| >= 1 - bound >= 1e-9 and |1 + conj gamma_0 v| >= 1 - |gamma_0|.
     """
     j = _weight(j)
     z0 = np.asarray(z0, dtype=complex)
@@ -144,7 +155,6 @@ def _q(
         )
     base = domain.eval(gamma[0])
     safe = r <= 1 - _RIM_MARGIN and bound <= 1 - _RIM_MARGIN
-    p_of = domain._eval if safe else domain.eval
 
     def sup(s: float) -> float:
         w = _climb(moduli, s, s)
@@ -153,21 +163,32 @@ def _q(
         top = domain.max_modulus(w) + abs(base)
         return top / s if j == -1 else top * s**j
 
-    def f(zeta: np.ndarray) -> np.ndarray:
-        w = _climb(gamma, zeta, leaf(zeta))
-        try:
-            p = p_of(w)
-        except ValueError as exc:  # the map's guard: a climbed value rounded onto the rim
-            rim = tuple(np.flatnonzero(~np.all(np.abs(w) < 1, axis=0)).tolist())
-            msg = f"a tower value rounds onto the rim at |zeta| <= {r}"
-            raise QuadratureError(msg, complex("nan"), math.inf, rim) from exc
-        # p is the map's new array, so both steps write it.  zeta^j first:
-        # numpy's complex multiply is not bit-symmetric.
-        np.subtract(p, base, out=p)
-        return np.multiply(zeta**j, p, out=p)
+    if safe and type(domain)._eval is Janowski._eval:
+        g, a, b = gamma[0], domain.A, domain.B
+        k = (a - b) * ((1 - abs(g)) * (1 + abs(g))) / (1 + b * g)
+        c, d = (1 + b * g) / k, (g.conjugate() + b) / k
+        below = (0j,) + gamma[1:]
+
+        def f(zeta: np.ndarray) -> np.ndarray:
+            v = _climb(below, zeta, leaf(zeta))
+            return v / (c + d * v)
+
+    else:
+        p_of = domain._eval if safe else domain.eval
+
+        def f(zeta: np.ndarray) -> np.ndarray:
+            w = _climb(gamma, zeta, leaf(zeta))
+            try:
+                p = p_of(w)
+            except ValueError as exc:  # the map's guard: a climbed value rounded onto the rim
+                rim = tuple(np.flatnonzero(~np.all(np.abs(w) < 1, axis=0)).tolist())
+                msg = f"a tower value rounds onto the rim at |zeta| <= {r}"
+                raise QuadratureError(msg, complex("nan"), math.inf, rim) from exc
+            # p is the map's new array.
+            return np.subtract(p, base, out=p)
 
     try:
-        return _gauss_segment(f, z0, sup, (cfg or DEFAULT_CONFIG).abs_tol)[0]
+        return _gauss_segment(f, z0, sup, (cfg or DEFAULT_CONFIG).abs_tol, j)[0]
     except QuadratureError as exc:
         at = z0 if z0.ndim == 0 else z0[list(exc.columns)][:4].tolist()
         where = f"{names(exc.columns)}, z0 = {at}, j = {j}, domain {domain.spec_string()}"

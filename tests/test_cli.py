@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurvar import cli
+from schurvar import cli, polygon_convexity
 from schurvar.cli import parse_complex, parse_domain, run
 
 
@@ -333,6 +333,19 @@ def test_degenerate_trace_names_its_case(capsys):
         "error: trace degenerate: the point at theta = -2.356194490192345 repeats its "
         "predecessor; z0 = (0.5+0j), j = 100000, domain halfplane:alpha=0\n"
     )
+
+
+def test_small_endpoint_traces_a_convex_region(capsys):
+    # Formed as a difference, the eps-dependent part of P(omega) fell
+    # below the rounding of P(gamma_0), and two trace points came out equal.
+    code, out, _ = capture(
+        capsys,
+        ["region", "--domain", "halfplane", "--data", "0.36-0.11i,0.024-0.009i", "--j", "-1",
+         "--z0", "1e-8"],
+    )
+    assert code == 0
+    points = [complex(re, im) for _, re, im in json.loads(out)["points"]]
+    assert len(set(points)) == 256 and polygon_convexity(points)
 
 
 _SUBCOMMANDS = next(
