@@ -19,10 +19,8 @@ cap on their count, as QUADPACK's, not on bisection depth):
   |zeta| = |z_end| (c + h (rho + 1/rho)/2), and the caller bounds the
   integrand on that disk.  Each panel takes the fewest nodes of
   N = 10, 15, 20, 30 that meet its share of the budget.  The bound
-  covers truncation, not rounding.  A weight zeta^j is carried by the
-  rule, not the integrand: t^j in the Gauss weights and z_end^(j+1) on
-  the sum, so the plan, which bounds the weighted integrand, is the
-  same either way.
+  covers truncation, not rounding.  A weight zeta^j rides in the rule
+  (t^j in the Gauss weights, z_end^(j+1) on the sum), not the integrand.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ never go through the kernel.
 
 import cmath
 import functools
+import types
 
 import mpmath
 import numpy as np
@@ -86,11 +87,18 @@ def test_small_endpoints_match_a_60_digit_reference(dom):
 
 @pytest.mark.parametrize("dom", MOEBIUS, ids=lambda d: d.spec_string())
 def test_trace_evaluates_the_map_on_no_array(monkeypatch, dom):
-    # Both spies sit on the classes the kernel's test reads, so the
-    # difference form is still taken; P is evaluated at gamma_0 alone.
+    # Both spies replace the methods on the classes whose identity the
+    # kernel checks, so it still takes the difference form.
     shapes = []
-    guarded, plain = DomainMap.eval, Janowski._eval
-    monkeypatch.setattr(DomainMap, "eval", lambda self, z: (shapes.append(np.shape(z)), guarded(self, z))[1])
-    monkeypatch.setattr(Janowski, "_eval", lambda self, z: (shapes.append(np.shape(z)), plain(self, z))[1])
+
+    def spy(method):
+        return lambda self, z: (shapes.append(np.shape(z)), method(self, z))[1]
+
+    monkeypatch.setattr(DomainMap, "eval", spy(DomainMap.eval))
+    monkeypatch.setattr(Janowski, "_eval", spy(Janowski._eval))
+    # A test that patched the shared instance leaves a bound _eval on it,
+    # which would bypass the class's spy.
+    monkeypatch.setattr(dom, "_eval", types.MethodType(Janowski._eval, dom))
     region_compute(RegionRequest(dom, (0.2 + 0.1j, 0.3), 0, 0.95 * cmath.exp(0.3j)))
+    # P is evaluated at gamma_0 alone.
     assert shapes and all(s == () for s in shapes)

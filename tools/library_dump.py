@@ -171,6 +171,15 @@ def _cases():
         case("gronwall_curve_point", z0, lam, 0.7)
         case("gronwall_curve", z0, lam, 16)
 
+    # The Moebius maps' difference form at tiny and near-rim |z0|, with a
+    # sector and a conic map at j = 0 as controls.
+    for dom in (hp, schurvar.Janowski(2, -1)):
+        case("q_point", dom, (0, 0.3), -1, 1e-20, 1)
+        case("q_point", dom, (0.9,), 0, 0.999, 1)
+    for dom in (schurvar.Sector(0.5), schurvar.ConicSection(1.0)):
+        case("q_point", dom, (0, 0.3), 0, 1e-20, 1)
+        case("q_point", dom, (0.9,), 0, 0.999, 1)
+
     # Inputs the library must reject, the quadrature failures included.
     case("q_point", hp, (0, 0.3), 0.5, -0.5, 1)
     case("q_point", hp, (0, 0.3), -2, 0.5, 1)
