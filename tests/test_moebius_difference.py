@@ -21,19 +21,12 @@ from schurvar import HalfPlane, Janowski, RegionRequest, q_point, region_compute
 from schurvar.domains import DomainMap
 
 from mp_maps import CATALOG, mp_map
+from test_bounds import _mp_tower
 
 MOEBIUS = [dom for dom, *_ in CATALOG if isinstance(dom, Janowski)]
 
 # Data of length 1-3, gamma_0 = 0 and gamma_0 != 0.
 DATA = ((0,), (0.4j,), (0, 0.3), (0.5, 0.2 - 0.3j), (0, 0.3, -0.2j), (0.2 + 0.1j, 0.3, -0.1j))
-
-
-def _mp_tower(gamma, z, w):
-    for a in gamma[:0:-1]:
-        a = mpmath.mpc(a)
-        w = z * (w + a) / (1 + mpmath.conj(a) * w)
-    a = mpmath.mpc(gamma[0])
-    return (w + a) / (1 + mpmath.conj(a) * w)
 
 
 def test_small_endpoint_keeps_its_relative_accuracy():
