@@ -76,7 +76,7 @@ def _weight(j: int) -> int:
 
 
 # How far inside the rim _q's tower bound must lie for the kernel to skip
-# the map's |w| < 1 guard (see _q).
+# its own |w| < 1 check (see _q).
 _RIM_MARGIN = 1e-9
 
 
@@ -106,25 +106,25 @@ def _q(
     raises QuadratureError before anything is evaluated, naming the
     endpoint of largest modulus, j and the domain.
 
-    The same bound settles the map's |w| < 1 guard.  When r and the
-    bound are both at most 1 - _RIM_MARGIN, the integrand calls the map's
-    unguarded ``_eval``: every level below the root multiplies by zeta,
-    so each carried value has modulus at most r (the leaf's 1e-12 slack
-    included), and each step rounds by a few ulps.  A disk
+    The integrand calls the map's unguarded ``_eval`` on every array
+    (``eval`` runs once, for P(gamma_0)), and the same bound gives the
+    rim rule.  When r and the bound are both at most 1 - _RIM_MARGIN, no
+    climbed value reaches the rim: every level below the root multiplies
+    by zeta, so each carried value has modulus at most r (the leaf's
+    1e-12 slack included), and each step rounds by a few ulps.  A disk
     automorphism keeps the ratio of an error to 1 - |w|^2 (the hyperbolic
     metric is invariant), so that rounding stays a tiny share of the
-    distance to the rim and no climbed value reaches it.  Otherwise the
-    integrand calls the guarded ``eval``, and a climbed value that
-    rounds onto the rim raises QuadratureError, as does any other
-    quadrature failure, naming z0 (the failing endpoints of a 1-d z0),
-    j, the domain and, via ``names``, the columns.  The integrand is
-    P(w) - P(gamma_0) alone, written into the array the map returned;
-    _gauss_segment carries the weight zeta^j.  ``leaf`` must not write
-    what it reads: a trace's leaves are the shared, read-only eps of
-    _grid.
+    distance to the rim.  Otherwise the integrand checks |w| < 1 itself:
+    a climbed value that rounds onto the rim raises QuadratureError, as
+    does any other quadrature failure, naming z0 (the failing endpoints
+    of a 1-d z0), j, the domain and, via ``names``, the columns.  The
+    integrand is P(w) - P(gamma_0) alone, written into the array the map
+    returned; _gauss_segment carries the weight zeta^j.  ``leaf`` must
+    not write what it reads: a trace's leaves are the shared, read-only
+    eps of _grid.
 
-    On the unguarded path a map whose ``_eval`` is Janowski's (the
-    half-planes included) skips both the root step and the subtraction.
+    Where no value reaches the rim, a map whose ``_eval`` is Janowski's
+    (the half-planes included) skips both the root step and the subtraction.
     With v the value below the root (the climb of gamma_1..gamma_n, or
     the leaf) and w = s_{gamma_0}(v), P(w) - P(gamma_0) = v / (c + d v)
     exactly, for K = (A - B)(1 - |gamma_0|^2)/(1 + B gamma_0),
@@ -174,17 +174,14 @@ def _q(
             return v / (c + d * v)
 
     else:
-        p_of = domain._eval if safe else domain.eval
-
         def f(zeta: np.ndarray) -> np.ndarray:
             w = _climb(gamma, zeta, leaf(zeta))
-            try:
-                p = p_of(w)
-            except ValueError as exc:  # the map's guard: a climbed value rounded onto the rim
-                rim = tuple(np.flatnonzero(~np.all(np.abs(w) < 1, axis=0)).tolist())
+            rim = () if safe else tuple(np.flatnonzero(~np.all(np.abs(w) < 1, axis=0)).tolist())
+            if rim:
                 msg = f"a tower value rounds onto the rim at |zeta| <= {r}"
-                raise QuadratureError(msg, complex("nan"), math.inf, rim) from exc
+                raise QuadratureError(msg, complex("nan"), math.inf, rim)
             # p is the map's new array.
+            p = domain._eval(w)
             return np.subtract(p, base, out=p)
 
     try:

@@ -6,8 +6,14 @@ is P(r), the maximum of |P| on |z| = r for positive Taylor coefficients.
 
 ``mp_map(dom)`` returns w -> P(w) for an mpmath number w, from the closed
 forms in the ``schurvar.domains`` docstring, so it shares no code with the
-float64 kernels.  It works at the caller's precision: each caller sets its
-own digits with ``mpmath.workdps``.
+float64 kernels, and ``mp_tower`` climbs a Schur tower the same way.  Both
+work at the caller's precision: each caller sets its own digits with
+``mpmath.workdps``.
+
+``SERIES_MAPS`` holds the maps of the Taylor oracle, and ``series_only``
+builds one whose pointwise evaluation raises, so that its series never
+goes through the kernels a Taylor reference checks.  ``POINTS`` holds the
+disk points at which the map tests evaluate, by band.
 """
 
 import mpmath
@@ -52,3 +58,63 @@ def mp_map(dom):
         return (mpmath.cosh(2 / mpmath.pi * mpmath.acos(k) * ell) - k**2) / (1 - k**2)
 
     return conic
+
+
+def mp_tower(gamma, z, w):
+    """The tower over the leaf value w at z, climbed in mpmath."""
+    for a in gamma[:0:-1]:
+        a = mpmath.mpc(a)
+        w = z * (w + a) / (1 + mpmath.conj(a) * w)
+    a = mpmath.mpc(gamma[0])
+    return (w + a) / (1 + mpmath.conj(a) * w)
+
+
+SERIES_MAPS = {
+    "halfplane:0.3": lambda: HalfPlane(0.3),
+    "sector:0.5": lambda: Sector(0.5),
+    "janowski:2,-1": lambda: Janowski(2, -1),
+    "kucv:0.5": lambda: ConicSection(0.5),
+    "kucv:1": lambda: ConicSection(1.0),
+}
+
+
+def series_only(make):
+    """A new map from ``make`` whose ``_eval`` raises."""
+    dom = make()
+
+    def no_eval(z):
+        raise AssertionError("the Taylor oracle evaluated the domain map")
+
+    dom._eval = no_eval
+    return dom
+
+
+# The stream the bands of POINTS are drawn from; tests may draw on from it.
+POINTS_RNG = np.random.default_rng(20)
+
+
+def _band(n: int, lo: float, hi: float) -> np.ndarray:
+    return 10 ** POINTS_RNG.uniform(lo, hi, n)
+
+
+def _inside(z: np.ndarray) -> np.ndarray:
+    return z[np.abs(z) < 1]
+
+
+POINTS = {
+    "disk": 0.999 * np.sqrt(POINTS_RNG.uniform(0, 1, 200))
+    * np.exp(2j * np.pi * POINTS_RNG.uniform(0, 1, 200)),
+    "near -1": _inside(-1 + _band(100, -9, -1) * np.exp(1j * POINTS_RNG.uniform(-1.5, 1.5, 100))),
+    "negative axis": np.array(
+        [complex(-x, s) for x in 1 - _band(30, -9, 0) for s in (0.0, -0.0)]
+    ),
+    "origin": np.array([0j, 1e-300, -1e-300, -1e-300j, 1e-300 * np.exp(2j)]),
+    "rim": (1 - _band(100, -9, -3)) * np.exp(2j * np.pi * POINTS_RNG.uniform(0, 1, 100)),
+}
+# Its own generator, so that the draws above and the test-time draws stay
+# as they were.  Log-uniform arguments come within 1e-12 of the axis,
+# where |1 - z| is about 1 - |z| and Re ell(z) about 21.
+_near_one = np.random.default_rng(21)
+POINTS["near +1"] = (1 - 10 ** _near_one.uniform(-9, -3, 100)) * np.exp(
+    1j * _near_one.choice([-1.0, 1.0], 100) * 10 ** _near_one.uniform(-12, -1, 100)
+)

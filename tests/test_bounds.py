@@ -9,7 +9,8 @@ the kernel: for data (0,) the Taylor oracle of test_taylor_oracle.py
 (the domain's series, summed in mpmath), and for towers mpmath.quad of
 the integrand written out in mpmath.  Loose budgets give few panels, so
 the truncation error the bound covers stands far above the rounding it
-does not cover.
+does not cover.  The planner's bounds and the map calls are read through
+the ``plans`` and ``map_calls`` probes of conftest.py.
 """
 
 import cmath
@@ -22,10 +23,9 @@ from schurvar import (
     ConicSection, HalfPlane, Janowski, QuadratureConfig, QuadratureError, RegionRequest, Sector,
     membership_trial, q_point, region_compute,
 )
-from schurvar import quadrature, regions
 from schurvar.schur import _climb
 
-from mp_maps import CATALOG, mp_map
+from mp_maps import CATALOG, SERIES_MAPS, mp_map, mp_tower, series_only
 
 
 def test_climb_bound_bounds_every_tower():
@@ -73,20 +73,12 @@ def test_max_modulus_of_moebius_maps_is_attained():
 TAYLOR_ORDER = {0.9: 500, 0.95: 1000}
 
 
-def _mp_tower(gamma, z, w):
-    for a in gamma[:0:-1]:
-        a = mpmath.mpc(a)
-        w = z * (w + a) / (1 + mpmath.conj(a) * w)
-    a = mpmath.mpc(gamma[0])
-    return (w + a) / (1 + mpmath.conj(a) * w)
-
-
 @mpmath.workdps(50)
 def _tower_reference(dom, gamma, j, z0, eps):
     p, z0, eps = mp_map(dom), mpmath.mpc(z0), mpmath.mpc(eps)
     base = p(mpmath.mpc(gamma[0]))
     return complex(mpmath.quad(
-        lambda zeta: zeta**j * (p(_mp_tower(gamma, zeta, eps * zeta)) - base),
+        lambda zeta: zeta**j * (p(mp_tower(gamma, zeta, eps * zeta)) - base),
         [0, 0.9 * z0, z0],
     ))
 
@@ -100,21 +92,6 @@ def _taylor_reference(terms, w):
     return complex(out)
 
 
-def _planned(monkeypatch):
-    """The bounds the kernel's planner reaches, one per kernel call."""
-    bounds = []
-    plan = quadrature._gauss_segment
-
-    def spy(*args):
-        out = plan(*args)
-        bounds.append(out[1])
-        return out
-
-    monkeypatch.setattr(regions, "_gauss_segment", spy)
-    return bounds
-
-
-TAYLOR_MAPS = ("halfplane:0.3", "janowski:2,-1", "kucv:0.5", "kucv:1", "sector:0.5")
 TOWERS = (
     (HalfPlane(0.3), (0.2, 0.5j)),
     (Sector(0.5), (0.3j, 0.4, -0.2)),
@@ -134,14 +111,11 @@ def _check(cases):
     return visible
 
 
-def test_gauss_bound_covers_the_taylor_oracle(monkeypatch):
-    from test_taylor_oracle import MAPS, _series_only
-
-    bounds = _planned(monkeypatch)
+def test_gauss_bound_covers_the_taylor_oracle(plans):
     cases = []
-    for name in TAYLOR_MAPS:
-        dom = MAPS[name]()
-        coeffs = _series_only(MAPS[name]).taylor(max(TAYLOR_ORDER.values())).coeffs
+    for name in sorted(SERIES_MAPS):
+        dom = SERIES_MAPS[name]()
+        coeffs = series_only(SERIES_MAPS[name]).taylor(max(TAYLOR_ORDER.values())).coeffs
         for r, order in TAYLOR_ORDER.items():
             with mpmath.workdps(50):
                 terms = [mpmath.mpc(coeffs[k]) / k for k in range(order, 0, -1)]
@@ -149,7 +123,7 @@ def test_gauss_bound_covers_the_taylor_oracle(monkeypatch):
                 want = _taylor_reference(terms, eps * r)
                 for tol in (1e-1, 1e-2, 1e-3):
                     got = q_point(dom, (0,), -1, r, eps, QuadratureConfig(tol, tol))
-                    cases.append((got, want, bounds[-1]))
+                    cases.append((got, want, plans[-1][1]))
     assert len(cases) == 60
     assert _check(cases) >= 20
 
@@ -161,15 +135,14 @@ def _toward_pole(gamma, eps):
     return zeta[np.argmin(np.abs(_climb(gamma, zeta, eps * zeta) - 1))]
 
 
-def test_gauss_bound_covers_tower_quadrature(monkeypatch):
-    bounds = _planned(monkeypatch)
+def test_gauss_bound_covers_tower_quadrature(plans):
     cases = []
     eps = cmath.exp(0.7j)
     for dom, gamma in TOWERS:
         ray = _toward_pole(gamma, eps)
         for j, r in ((-1, 0.95), (0, 0.9), (1, 0.95)):
             got = q_point(dom, gamma, j, r * ray, eps, QuadratureConfig(1e-1, 1e-1))
-            cases.append((got, _tower_reference(dom, gamma, j, r * ray, eps), bounds[-1]))
+            cases.append((got, _tower_reference(dom, gamma, j, r * ray, eps), plans[-1][1]))
     assert len(cases) == 15
     assert _check(cases) >= 10
 
@@ -183,16 +156,13 @@ def test_near_rim_point_meets_a_tight_budget():
 
 
 @pytest.mark.parametrize("dom", [dom for dom, *_ in CATALOG[::3]], ids=lambda d: d.spec_string())
-def test_tower_bound_rounded_onto_the_rim_raises_before_any_evaluation(monkeypatch, dom):
+def test_tower_bound_rounded_onto_the_rim_raises_before_any_evaluation(map_calls, dom):
     # The climb of moduli rounds to 1 at |z0|, so every plan's last panel
     # is unbounded; the kernel says so before it evaluates anything.
-    def unevaluated(z):
-        raise AssertionError("evaluated")
-
-    monkeypatch.setattr(dom, "_eval", unevaluated)
     with pytest.raises(QuadratureError, match=r"rounds onto the rim") as info:
         q_point(dom, (1 - 2**-53,), 0, 0.99, 1)
     assert str(info.value).endswith(f"z0 = (0.99+0j), j = 0, domain {dom.spec_string()}")
+    assert map_calls == []
 
 
 # The tower bound reads 0.9999999999999999 at this |z0|, yet one climbed
@@ -223,31 +193,19 @@ def _traces(dom):
 
 
 @pytest.mark.parametrize("dom", [dom for dom, *_ in CATALOG], ids=lambda d: d.spec_string())
-def test_kernel_skips_the_guard_only_where_no_value_reaches_the_rim(monkeypatch, dom):
+def test_kernel_skips_the_guard_only_where_no_value_reaches_the_rim(request, dom):
     # The kernel calls _eval unguarded where its tower bound lies inside
     # the rim; every argument must still be what the guard lets through.
     want = _traces(dom)
-    plain = dom._eval
-
-    def guarded(z):
-        assert np.abs(z).max(initial=0) < 1
-        return plain(z)
-
-    monkeypatch.setattr(dom, "_eval", guarded)
+    map_calls = request.getfixturevalue("map_calls")
     assert np.array(_traces(dom)).tobytes() == np.array(want).tobytes()
+    assert all(top < 1 for name, _, top in map_calls if name == "_eval")
 
 
 @pytest.mark.parametrize("dom", [dom for dom, *_ in CATALOG], ids=lambda d: d.spec_string())
-def test_trace_calls_the_guarded_eval_on_no_array(monkeypatch, dom):
-    shapes = []
-    guarded = type(dom).eval
-
-    def spy(self, z):
-        shapes.append(np.shape(z))
-        return guarded(self, z)
-
-    monkeypatch.setattr(type(dom), "eval", spy)
+def test_trace_calls_the_guarded_eval_on_no_array(map_calls, dom):
     region_compute(RegionRequest(dom, (0.2 + 0.1j, 0.3), 0, 0.95 * cmath.exp(0.3j)))
+    shapes = [shape for name, shape, _ in map_calls if name == "eval"]
     assert shapes == [()]
 
 
@@ -260,15 +218,9 @@ NODES_PER_POINT = (
 
 
 @pytest.mark.parametrize("dom, nodes", NODES_PER_POINT, ids=["halfplane", "sector"])
-def test_nodes_per_boundary_point(monkeypatch, dom, nodes):
-    rows = []
-    plan = quadrature._gauss_segment
-
-    def spy(integrand, *args):
-        return plan(lambda zeta: (rows.append(len(zeta)), integrand(zeta))[1], *args)
-
-    monkeypatch.setattr(regions, "_gauss_segment", spy)
+def test_nodes_per_boundary_point(plans, dom, nodes):
     for r, want in nodes.items():
-        rows.clear()
+        plans.clear()
         region_compute(RegionRequest(dom, (0, 0.3), -1, r * cmath.exp(0.3j), samples=16))
+        rows = [n for panel_nodes, _ in plans for n in panel_nodes]
         assert rows == want, r

@@ -45,7 +45,7 @@ import pytest
 from schurvar import ConicSection, Sector
 from schurvar import domains
 
-from mp_maps import mp_map
+from mp_maps import POINTS, POINTS_RNG, mp_map
 
 SECTOR_BOUND = 1e-15
 SECTOR_NEAR_ONE_BOUND = 2 * np.finfo(float).eps  # times 1 + beta |Re ell(z)|, near +1
@@ -54,33 +54,6 @@ KUCV_RIM_BOUND = 1e-15  # times 1 / (1 - |z|), for |z| > 0.999
 KUCV_TAYLOR_BOUND = 1e-13  # absolute, coefficients 0..64
 CIS_BOUND = 4.5e-16  # absolute, against numpy's cos and sin
 
-_rng = np.random.default_rng(20)
-
-
-def _band(n: int, lo: float, hi: float) -> np.ndarray:
-    return 10 ** _rng.uniform(lo, hi, n)
-
-
-def _inside(z: np.ndarray) -> np.ndarray:
-    return z[np.abs(z) < 1]
-
-
-POINTS = {
-    "disk": 0.999 * np.sqrt(_rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * _rng.uniform(0, 1, 200)),
-    "near -1": _inside(-1 + _band(100, -9, -1) * np.exp(1j * _rng.uniform(-1.5, 1.5, 100))),
-    "negative axis": np.array(
-        [complex(-x, s) for x in 1 - _band(30, -9, 0) for s in (0.0, -0.0)]
-    ),
-    "origin": np.array([0j, 1e-300, -1e-300, -1e-300j, 1e-300 * np.exp(2j)]),
-    "rim": (1 - _band(100, -9, -3)) * np.exp(2j * np.pi * _rng.uniform(0, 1, 100)),
-}
-# Its own generator, so that the draws above and the test-time draws stay
-# as they were.  Log-uniform arguments come within 1e-12 of the axis,
-# where |1 - z| is about 1 - |z| and Re ell(z) about 21.
-_near_one = np.random.default_rng(21)
-POINTS["near +1"] = (1 - 10 ** _near_one.uniform(-9, -3, 100)) * np.exp(
-    1j * _near_one.choice([-1.0, 1.0], 100) * 10 ** _near_one.uniform(-12, -1, 100)
-)
 MAPS = [Sector(0.1), Sector(0.5), Sector(1.0),
         ConicSection(0.0), ConicSection(0.5), ConicSection(1.0)]
 
@@ -150,7 +123,7 @@ def test_cis_matches_cos_and_sin(sign):
     h = np.pi
     phi = sign * np.concatenate([
         np.linspace(0, h, 200_000, endpoint=False), [np.pi / 2, np.nextafter(h, 0)],
-        _rng.uniform(0, h, 10_000), h - np.logspace(-9, -1, 1_000),
+        POINTS_RNG.uniform(0, h, 10_000), h - np.logspace(-9, -1, 1_000),
     ])
     cos, sin = domains._cis(phi)
     assert np.max(np.abs(cos - np.cos(phi))) <= CIS_BOUND

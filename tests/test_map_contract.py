@@ -13,8 +13,7 @@ import pytest
 from schurvar import make_domain, polygon_convexity
 from schurvar.cli import parse_domain
 
-from mp_maps import CATALOG, mp_map
-from test_domain_accuracy import POINTS
+from mp_maps import CATALOG, POINTS, mp_map
 
 _rng = np.random.default_rng(34)
 DISK = 0.99 * np.sqrt(_rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * _rng.uniform(0, 1, 200))

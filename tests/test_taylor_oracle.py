@@ -17,34 +17,19 @@ below rounding (|z0|^order <= 3e-16).  Measured error at most 4.8e-15
 import numpy as np
 import pytest
 
-from schurvar import ConicSection, HalfPlane, Janowski, RegionRequest, Sector, region_compute
+from schurvar import RegionRequest, region_compute
+
+from mp_maps import SERIES_MAPS, series_only
 
 BOUND = 1e-13
-MAPS = {
-    "halfplane:0.3": lambda: HalfPlane(0.3),
-    "sector:0.5": lambda: Sector(0.5),
-    "janowski:2,-1": lambda: Janowski(2, -1),
-    "kucv:0.5": lambda: ConicSection(0.5),
-    "kucv:1": lambda: ConicSection(1.0),
-}
 ORDERS = {0.5: 64, 0.8: 160, 0.95: 800}
 
 
-def _series_only(make):
-    dom = make()
-
-    def no_eval(z):
-        raise AssertionError("the Taylor oracle evaluated the domain map")
-
-    dom._eval = no_eval
-    return dom
-
-
 @pytest.mark.parametrize("radius", sorted(ORDERS))
-@pytest.mark.parametrize("name", sorted(MAPS))
+@pytest.mark.parametrize("name", sorted(SERIES_MAPS))
 def test_trace_matches_taylor_series(name, radius):
-    make = MAPS[name]
-    p = np.array(_series_only(make).taylor(ORDERS[radius]).coeffs)
+    make = SERIES_MAPS[name]
+    p = np.array(series_only(make).taylor(ORDERS[radius]).coeffs)
     k = np.arange(1, len(p))
     res = region_compute(RegionRequest(make(), (0,), -1, radius))
     w = np.exp(1j * np.asarray(res.polygon.thetas)) * radius
