@@ -96,7 +96,8 @@ class DomainMap:
     def eval(self, z: complex | np.ndarray) -> complex | np.ndarray:
         """P(z) at a point, or elementwise on an array, of the open disk.
 
-        An array gives a new array; z itself is never written.
+        An array gives a new array; z itself is never written.  The region
+        kernel calls it only at gamma_0, and ``_eval`` on its arrays.
         """
         z = np.asarray(z, dtype=complex)
         if not np.abs(z).max(initial=0) < 1:

@@ -181,6 +181,18 @@ def test_climbed_value_on_the_rim_is_a_quadrature_error():
     assert str(info.value).endswith(tail)
 
 
+@pytest.mark.parametrize(
+    "dom", [HalfPlane(), Sector(0.5), Janowski(2, -1), ConicSection(0.5)], ids=lambda d: d.kind
+)
+def test_kernel_checks_the_rim_itself_outside_the_margin(map_calls, dom):
+    # The tower bound of data (0.5,) lies 0.7e-9 inside the rim, closer
+    # than the margin: the kernel checks every climbed value itself and
+    # still evaluates the map through _eval alone.
+    q_point(dom, (0.5,), 0, 1 - 2e-9, 1)
+    arrays = [(name, top) for name, shape, top in map_calls if shape]
+    assert arrays and all(name == "_eval" and top < 1 for name, top in arrays)
+
+
 # Data of length 1-3, gamma_0 = 0 and gamma_0 != 0.
 GUARD_DATA = ((0,), (0.4j,), (0, 0.3), (0.5, 0.2 - 0.3j), (0, 0.3, -0.2j), (0.2 + 0.1j, 0.3, -0.1j))
 

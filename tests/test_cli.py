@@ -338,14 +338,15 @@ def test_degenerate_trace_names_its_case(capsys):
 def test_small_endpoint_traces_a_convex_region(capsys):
     # Formed as a difference, the eps-dependent part of P(omega) fell
     # below the rounding of P(gamma_0), and two trace points came out equal.
-    code, out, _ = capture(
-        capsys,
-        ["region", "--domain", "halfplane", "--data", "0.36-0.11i,0.024-0.009i", "--j", "-1",
-         "--z0", "1e-8"],
-    )
-    assert code == 0
-    points = [complex(re, im) for _, re, im in json.loads(out)["points"]]
-    assert len(set(points)) == 256 and polygon_convexity(points)
+    # Below |z0| of about 1.1e-308 the plan's bound was NaN, and the plan
+    # stopped at its panel cap.
+    for data, z0 in (("0.36-0.11i,0.024-0.009i", "1e-8"), ("0", "1e-320")):
+        code, out, _ = capture(
+            capsys, ["region", "--domain", "halfplane", "--data", data, "--j", "-1", "--z0", z0]
+        )
+        assert code == 0
+        points = [complex(re, im) for _, re, im in json.loads(out)["points"]]
+        assert len(set(points)) == 256 and polygon_convexity(points)
 
 
 _SUBCOMMANDS = next(

@@ -26,7 +26,8 @@ def test_argv_lists_cover_every_subcommand():
 @pytest.mark.parametrize("argv, code", [
     # A single point asked for as csv: json on stdout, a note on stderr.
     (["region", "--domain", "kucv:k=1", "--j", "-1", "--z0", "0.5", "--data", "0,1", "--format", "csv"], 0),
-    (["region", "--domain", "halfplane", "--data", "0", "--j", "-1", "--z0", "1e-320"], 1),
+    (["region", "--domain", "halfplane", "--data", "0.9999999,0.00000001", "--j", "3",
+      "--z0", "0.9999999999"], 1),
     (["region", "--domain", "halfplane:alpha=-1e999", "--data", "0", "--j", "-1", "--z0", "0.5"], 2),
 ])
 def test_capture_matches_a_cold_launch(argv, code):

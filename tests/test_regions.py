@@ -222,10 +222,11 @@ def test_trace_grid_is_shared_and_read_only():
     assert not np.shares_memory(regions._q_eps(HP, (0j, 0.3), -1, 0.5, eps, None), eps)
 
 
-@pytest.mark.parametrize("z0", [1e-300, 1e-200, 1e-154, 1e-20])
+@pytest.mark.parametrize("z0", [1e-320, 1e-308, 1e-300, 1e-200, 1e-154, 1e-20])
 @pytest.mark.parametrize("dom", [HP, Sector(0.5), ConicSection(0.5)], ids=lambda d: d.kind)
 def test_tiny_endpoint_is_planned(plans, dom, z0):
-    # The plan's half^2 would overflow below |z0| of about 1.5e-154; its bound must stay finite.
+    # The plan's half^2 would overflow below |z0| of about 1.5e-154, and half
+    # itself below about 1.1e-308; its bound must stay finite.
     assert abs(q_point(dom, (0j, 0.3), -1, z0, 1.0)) <= 1e-12
     bounds = [bound for _, bound in plans]
     assert len(bounds) == 1 and math.isfinite(bounds[0])

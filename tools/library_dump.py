@@ -119,8 +119,8 @@ def _cases():
                         case("q_point", dom, data, j, z0, eps)
         case("q_point", dom, DATA[1], -1, 0.5, 1j, tight)
         # The tower bound of data (0.5,) lies 1.3e-9 and 0.7e-9 inside the
-        # rim: just inside and just outside the margin of the kernel's
-        # unguarded map calls.
+        # rim: just inside the margin within which the kernel skips its own
+        # |w| < 1 check, and just outside it.
         if dom.kind not in kinds:
             kinds.add(dom.kind)
             for z0 in (1 - 4e-9, 1 - 2e-9):
