@@ -285,7 +285,9 @@ def _panel(
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     # (rho + 1/rho)/2 = half puts the ellipse's far end on |zeta| = 1.
     half = (1 / r - c) / h
-    if math.isinf(half):  # |z_end| below about 1.1e-308: rho^(2 - 2n) underflows to 0
+    if math.isinf(half):
+        # |z_end| below about 1.1e-308: rho is infinite, so rho^(2 - 2n) is 0
+        # unless sup is infinite where the ellipse reaches.
         bound = 0.0 if sup(r * c + _REACH * (1 - r * c)) < math.inf else math.inf
         return a, b, _SIZES[0], bound
     # sqrt(half^2 - 1) in factors: half^2 overflows for |z_end| below about 1.5e-154.

@@ -206,8 +206,9 @@ def _traces(dom):
 
 @pytest.mark.parametrize("dom", [dom for dom, *_ in CATALOG], ids=lambda d: d.spec_string())
 def test_kernel_skips_the_guard_only_where_no_value_reaches_the_rim(request, dom):
-    # The kernel calls _eval unguarded where its tower bound lies inside
-    # the rim; every argument must still be what the guard lets through.
+    # The kernel calls _eval unguarded, and checks |w| < 1 itself only where
+    # its tower bound lies near the rim; every argument must still be what
+    # the guard lets through.
     want = _traces(dom)
     map_calls = request.getfixturevalue("map_calls")
     assert np.array(_traces(dom)).tobytes() == np.array(want).tobytes()
